@@ -307,7 +307,7 @@ def killed_density(p, domain, t, x, eval_points, n_paths, seed, cfg):
         flow_ss, jump_ss = ss.spawn(2)
         flow = np.random.default_rng(flow_ss)
         jrng = np.random.default_rng(jump_ss)
-        if not cfg.exact_stable and p.levy is not None and (p.jump is not None or p.sigma_bar is not None):
+        if not cfg.exact_stable and p.has_jumps:
             events = [sample_large_jumps(p.levy, t, jrng) for _ in range(w)]
         else:
             events = [[] for _ in range(w)]

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from levylab.errors import (
     DivergenceError,
@@ -21,7 +20,7 @@ from levylab.errors import (
     SignalTooWeakError,
 )
 from levylab.integrator import _Engine, _streams, simulate_ensemble
-from levylab.levy_noise import sample_large_jumps
+from levylab.levy_noise import sample_large_jumps, shell_rule
 
 __all__ = [
     "EmpiricalMeasure",
@@ -186,12 +185,7 @@ def estimate_invariant(
     seg_len = thinning * cfg.dt
     flow, jumps = _streams(seed)
     eng = _Engine(p, cfg, record=False)
-    has_jumps = (
-        not cfg.exact_stable
-        and p.levy is not None
-        and (p.jump is not None or p.sigma_bar is not None)
-        and p.levy.big_jump_rate() > 0
-    )
+    has_jumps = not cfg.exact_stable and p.has_jumps and p.levy.big_jump_rate() > 0
 
     X = np.full((n_chains, p.dim), float(x0))
 
@@ -225,55 +219,39 @@ def _h(x):
     return np.hypot(1.0, x)
 
 
+def _h_taylor_remainder(x, g):
+    """h(x+g) - h(x) - g h'(x), free of cancellation where it is O(g^2)."""
+    y = x + g
+    h0, h1 = _h(x), _h(y)
+    xy = x * y
+    # h0 h1 - x y, rationalized where its terms cancel (x y >= 0; abs keeps the other branch finite)
+    cross = np.where(xy >= 0.0, (1.0 + x * x + y * y) / (h0 * h1 + np.abs(xy)), h0 * h1 - xy)
+    return g * g * (1.0 + cross) / ((h0 + h1) ** 2 * h0)
+
+
 def _lyapunov_generator_1d(p, x):
-    """(L^sigma_2 + L^b_1 + L^g_nu) h at scalar x for h = sqrt(1+x^2)."""
-    hp = x / _h(x)
-    hpp = (1.0 + x**2) ** (-1.5)
-    sig = float(np.atleast_1d(p.sigma_eval(0.0, np.array([x])))[0]) if p.sigma is not None else 0.0
-    val = 0.5 * sig**2 * hpp + float(np.atleast_1d(p.b(0.0, np.array([x])))[0]) * hp
+    """(L^sigma_2 + L^b_1 + L^g_nu) h at the states x for h = sqrt(1+x^2)."""
+    x = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(x)
+    hp = xs / _h(xs)
+    sig = p.sigma_eval(0.0, xs) if p.sigma is not None else 0.0
+    val = 0.5 * sig**2 * (1.0 + xs**2) ** (-1.5) + p.b(0.0, xs) * hp
 
-    if p.levy is not None and (p.jump is not None or p.sigma_bar is not None):
+    if p.has_jumps:
         model = p.levy
-        big_r = model.big_jump_radius
-
-        def gval(s, sign):
-            return float(np.atleast_1d(p.g(0.0, np.array([x]), np.array([sign * s])))[0])
-
-        def inner(v, sign):
-            # substitution s = v^2 flattens the s^(1-alpha) endpoint behavior
-            s = v * v
-            g = gval(s, sign)
-            integrand = _h(x + g) - _h(x) - g * hp
-            return integrand * float(model.radial_intensity(s)) * v
-
-        def outer(s, sign):
-            g = gval(s, sign)
-            integrand = _h(x + g) - _h(x)
-            return integrand * float(model.radial_intensity(s)) / 2.0
-
+        inner = shell_rule(model, 0.0, model.big_jump_radius)
+        outer = shell_rule(model, model.big_jump_radius, np.inf)
+        g_out = p.g_pairs(0.0, xs, outer.nodes)
         # divergence screen for the uncompensated tail (needs Gamma^{0,1}_{R,inf})
-        if model.kind == "isotropic_stable":
-            probes = np.array([1e3, 1e5])
-            vals = np.array([abs(gval(s, 1.0)) + abs(gval(s, -1.0)) for s in probes])
-            if vals.max() > 1e-250:
-                expo = np.log(max(vals[1], 1e-300) / max(vals[0], 1e-300)) / np.log(probes[1] / probes[0])
-                if expo - model.alpha >= -1e-9:
-                    raise DivergenceError(
-                        "large-jump integral Gamma^{0,1}_{R,inf}(g) diverges: "
-                        f"|g| grows with exponent {expo:.3f} >= alpha = {model.alpha}"
-                    )
-        hi_tab = np.inf if model.kind == "isotropic_stable" else float(model.radii[-1])
-        import warnings
-
-        with warnings.catch_warnings():
-            # kinked integrands trip the quad heuristics; accuracy is pinned
-            # separately by the analytic g=0 identity and the Gamma bound
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            for sign in (1.0, -1.0):
-                v1, _ = integrate.quad(inner, 0.0, math.sqrt(big_r), args=(sign,), limit=300)
-                v2, _ = integrate.quad(outer, big_r, hi_tab, args=(sign,), limit=300)
-                val += v1 + v2
-    return val
+        expo = outer.end_exponents(np.abs(g_out))[1]
+        if expo is not None and np.any(expo - model.alpha >= -1e-9):
+            raise DivergenceError(
+                "large-jump integral Gamma^{0,1}_{R,inf}(g) diverges: "
+                f"|g| grows with exponent {float(np.nanmax(expo)):.3f} >= alpha = {model.alpha}"
+            )
+        val = val + inner.integrate(_h_taylor_remainder(xs[:, None], p.g_pairs(0.0, xs, inner.nodes)))
+        val = val + outer.integrate(_h(xs[:, None] + g_out) - _h(xs)[:, None])
+    return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
 
 
 def lyapunov_margin(p, radial_grid, c1, c2):
@@ -290,7 +268,7 @@ def lyapunov_margin(p, radial_grid, c1, c2):
     r = p.r if p.r is not None else 0.0
     radial_grid = np.asarray(radial_grid, dtype=float)
     xs = np.unique(np.concatenate([radial_grid, -radial_grid]))
-    gen = np.array([_lyapunov_generator_1d(p, float(x)) for x in xs])
+    gen = _lyapunov_generator_1d(p, xs)
     margins = gen + c1 * _h(xs) ** (1.0 + r) - c2
     return {
         "x": xs,
@@ -308,7 +286,7 @@ def fit_lyapunov_constants(p, radial_grid):
     r = p.r if p.r is not None else 0.0
     radial_grid = np.asarray(radial_grid, dtype=float)
     xs = np.unique(np.concatenate([radial_grid, -radial_grid]))
-    gen = np.array([_lyapunov_generator_1d(p, float(x)) for x in xs])
+    gen = _lyapunov_generator_1d(p, xs)
     hv = _h(xs) ** (1.0 + r)
     outer = np.abs(xs) >= 0.5 * np.max(np.abs(xs))
     c1 = 0.5 * float(np.min(-gen[outer] / hv[outer]))

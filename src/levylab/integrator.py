@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import integrate as _si
 
 from levylab.errors import ParameterError, TruncationError
-from levylab.levy_noise import levy_constant, sample_large_jumps, tail_mass, _stable_increments
+from levylab.levy_noise import levy_constant, sample_large_jumps, shell_rule, tail_mass, _stable_increments
 
 __all__ = [
     "StepConfig",
@@ -118,22 +117,11 @@ def _streams(seed):
     return np.random.default_rng(flow_ss), np.random.default_rng(jump_ss)
 
 
-def _band_compensator_1d(p, t, x, eps, big_r):
-    def f(s, sign):
-        return float(p.g(t, np.array([x]), np.array([sign * s]))[0] * p.levy.radial_intensity(s) / 2.0)
-
-    total = 0.0
-    for sign in (1.0, -1.0):
-        v, _ = _si.quad(f, eps, big_r, args=(sign,), limit=200)
-        total += v
-    return total
-
-
 class _SmallJumpBand:
     """Per-problem machinery for the compensated band eps <= |z| < R."""
 
     def __init__(self, p, cfg):
-        self.active = p.levy is not None and (p.jump is not None or p.sigma_bar is not None)
+        self.active = p.has_jumps
         if not self.active:
             return
         self.p = p
@@ -145,6 +133,10 @@ class _SmallJumpBand:
         # odd jump coefficients against the symmetric measure have a vanishing
         # band compensator; probed numerically once
         self.odd = self._probe_odd(p)
+        if not self.odd:
+            if p.dim != 1:
+                raise ParameterError("a jump coefficient that is not odd in z needs dim=1")
+            self.rule = shell_rule(self.model, self.eps, self.big_r)
         if self.gauss:
             if p.sigma_bar is None:
                 raise ParameterError(
@@ -181,9 +173,7 @@ class _SmallJumpBand:
         """int_{eps<=|z|<R} g(t,x,z) nu(dz), zero for odd g (symmetric nu)."""
         if self.odd:
             return None
-        flat = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-        out = np.array([_band_compensator_1d(self.p, t, float(xi), self.eps, self.big_r) for xi in flat])
-        return out.reshape(np.shape(x))
+        return self.rule.integrate(self.p.g_pairs(t, x, self.rule.nodes)).reshape(np.shape(x))
 
 
 class _Engine:
@@ -393,7 +383,7 @@ def simulate_interlaced(p, x0, horizon, cfg, seed):
     """
     flow, jumps = _streams(seed)
     events = None
-    if not cfg.exact_stable and p.levy is not None and (p.jump is not None or p.sigma_bar is not None):
+    if not cfg.exact_stable and p.has_jumps:
         events = sample_large_jumps(p.levy, horizon, jumps)
     return _finish_single(p, cfg, x0, 0.0, horizon, flow, events=events)
 
@@ -448,9 +438,7 @@ def simulate_ensemble(
         None if snapshot_times is None else np.sort(np.asarray(snapshot_times, dtype=float))
     )
     starts = list(range(0, n_paths, CHUNK_SIZE))
-    draw_events = not cfg.exact_stable and p.levy is not None and (
-        p.jump is not None or p.sigma_bar is not None
-    )
+    draw_events = not cfg.exact_stable and p.has_jumps
 
     def run_chunk(ci):
         lo = starts[ci]

@@ -10,6 +10,10 @@ Two scaling conventions coexist and are interconvertible:
 ``levy_constant(d, alpha)`` is the bridge: the unit-constant measure has
 symbol  levy_constant * |xi|^alpha,  so a pure-jump path driven by nu over
 time t has the law of a symbol-normalized increment at time levy_constant*t.
+
+Integrals against nu go through one rule, ``shell_rule``: log-spaced
+Gauss-Legendre panels, with power-law remainders closing the stable measure's
+open ends (DECISIONS.md).
 """
 
 from __future__ import annotations
@@ -31,7 +35,17 @@ __all__ = [
     "sample_large_jumps",
     "tail_mass",
     "sphere_area",
+    "ShellRule",
+    "shell_rule",
 ]
+
+# resolution of the nu-rule: Gauss-Legendre order, panels per decade of |z|, the
+# cuts of the stable measure's open ends and the radius ratio of each end's probes
+RULE_ORDER = 8
+PANELS_PER_DECADE = 4
+RULE_LO, RULE_HI = 1e-9, 1e8
+PROBE_RATIO = 100.0
+_GL = np.polynomial.legendre.leggauss(RULE_ORDER)
 
 
 def sphere_area(d):
@@ -101,10 +115,9 @@ class LevyModel:
             object.__setattr__(self, "radii", r)
             object.__setattr__(self, "densities", f)
             # integrability check int (|z|^2 ^ 1) nu(dz) < inf; finite tables
-            # can only fail through non-finite values, checked above, but the
-            # quadrature guards against pathological user edits.
-            chk = self._radial_quad(lambda s: np.minimum(s**2, 1.0), r[0], r[-1])
-            if not np.isfinite(chk):
+            # can only fail through overflow of the radial density
+            rule = shell_rule(self, r[0], r[-1])
+            if not np.isfinite(rule.integrate(np.minimum(rule.nodes**2, 1.0))):
                 raise ParameterError("radial_table fails the (|z|^2 ^ 1)-integrability check")
 
     # radial density of nu as a measure in the radius: m(r) dr, m = area * r^(d-1) f(r)
@@ -117,18 +130,6 @@ class LevyModel:
             return out
         f = np.interp(r, self.radii, self.densities, left=0.0, right=0.0)
         return area * r ** (self.dim - 1) * f
-
-    def _radial_quad(self, weight, r1, r2):
-        """Integral of weight(r) * m(r) dr over [r1, r2] for a finite table."""
-        pts = self.radii[(self.radii > r1) & (self.radii < r2)]
-        val, _ = integrate.quad(
-            lambda s: weight(s) * self.radial_intensity(s),
-            r1,
-            r2,
-            points=pts if len(pts) and np.isfinite(r2) else None,
-            limit=200,
-        )
-        return val
 
     def big_jump_rate(self):
         """nu(B_R^c), always finite for a valid model."""
@@ -241,7 +242,8 @@ def stable_increment_batch(model, t, n, rng):
 
 
 def tail_mass(model, r1, r2, moment):
-    """int_{r1 <= |z| < r2} |z|^moment nu(dz) by deterministic adaptive quadrature.
+    """int_{r1 <= |z| < r2} |z|^moment nu(dz): closed form for the stable kind,
+    the nu-quadrature rule for tables.
 
     Raises DivergenceError naming the offending endpoint when the integral is
     infinite; for the stable measure that happens at r1=0 unless moment > alpha
@@ -253,27 +255,123 @@ def tail_mass(model, r1, r2, moment):
         raise ParameterError(f"moment must be >= 0, got {moment}")
     if r1 == r2:
         return 0.0
-    area = sphere_area(model.dim)
-    if model.kind == "isotropic_stable":
-        # radial integrand area * r^(moment - alpha - 1); substitute u = log r
-        # so both endpoint singularities become plain exponential decay.
-        expo = moment - model.alpha
-        if r1 == 0.0 and expo <= 0.0:
-            raise DivergenceError(
-                f"tail_mass diverges at r1=0: need moment > alpha, got moment={moment}, alpha={model.alpha}"
-            )
-        if np.isinf(r2) and expo >= 0.0:
-            raise DivergenceError(
-                f"tail_mass diverges at r2=inf: need moment < alpha, got moment={moment}, alpha={model.alpha}"
-            )
-        lo = -np.inf if r1 == 0.0 else math.log(r1)
-        hi = np.inf if np.isinf(r2) else math.log(r2)
-        val, _ = integrate.quad(
-            lambda u: math.exp(expo * u), lo, hi, epsabs=0.0, epsrel=1e-11, limit=200
+    if model.kind == "radial_table":
+        rule = shell_rule(model, r1, r2)
+        return float(rule.integrate(np.abs(rule.nodes) ** moment))
+    # radial integrand area * r^(expo - 1)
+    expo = moment - model.alpha
+    if r1 == 0.0 and expo <= 0.0:
+        raise DivergenceError(
+            f"tail_mass diverges at r1=0: need moment > alpha, got moment={moment}, alpha={model.alpha}"
         )
-        return area * val
-    hi = min(r2, model.radii[-1])
-    lo = max(r1, model.radii[0] if model.radii[0] > 0 else 0.0)
-    if hi <= lo:
-        return 0.0
-    return model._radial_quad(lambda s: s**moment, lo, hi)
+    if np.isinf(r2) and expo >= 0.0:
+        raise DivergenceError(
+            f"tail_mass diverges at r2=inf: need moment < alpha, got moment={moment}, alpha={model.alpha}"
+        )
+    area = sphere_area(model.dim)
+    if expo == 0.0:
+        return float(area * math.log(r2 / r1))
+    # the screens above leave only the vanishing powers 0^expo and inf^expo
+    return float(area * (r2**expo - r1**expo) / expo)
+
+
+class ShellRule:
+    """Quadrature for integrals against nu over a shell {r1 <= |z| < r2}.
+
+    ``integrate(f(nodes))`` approximates int f(z) nu(dz): one product with
+    ``weights``, plus a power-law remainder at each open end of the stable
+    measure, whose exponent ``end_exponents`` reads off two zero-weight probe
+    nodes.  In d = 1 the nodes are the signed points +-s, with half the radial
+    weight each; in d >= 2 they are radii and f must be radial.
+    """
+
+    def __init__(self, model, edges, open_lo=False, open_hi=False):
+        self.model, self.edges = model, np.asarray(edges, dtype=float)
+        self.open_lo, self.open_hi = open_lo, open_hi
+        lo, hi = self.edges[:-1], self.edges[1:]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        radii = (mid[:, None] + half[:, None] * _GL[0]).ravel()
+        weights = (half[:, None] * _GL[1]).ravel() * model.radial_intensity(radii)
+        a, b = self.edges[0], self.edges[-1]
+        probes = [a, PROBE_RATIO * a] * open_lo + [b / PROBE_RATIO, b] * open_hi
+        radii = np.concatenate([probes, radii])
+        weights = np.concatenate([np.zeros(len(probes)), weights])
+        self._probes = np.arange(len(probes))[:, None]
+        if model.dim == 1:
+            self._probes = np.hstack([self._probes, self._probes + len(radii)])
+            radii, weights = np.concatenate([radii, -radii]), np.concatenate([weights, weights]) / 2.0
+        self.nodes, self.weights = radii, weights
+
+    def refined(self):
+        """The same shell with every panel halved (in log scale where it can)."""
+        lo, hi = self.edges[:-1], self.edges[1:]
+        mid = np.where(lo > 0, np.sqrt(lo * hi), 0.5 * (lo + hi))
+        edges = np.sort(np.concatenate([self.edges, mid]))
+        return ShellRule(self.model, edges, self.open_lo, self.open_hi)
+
+    def _at_probes(self, values):
+        # mean over the directions of each probe radius: (..., n_probes)
+        return np.asarray(values, dtype=float)[..., self._probes].mean(axis=-1)
+
+    def end_exponents(self, values):
+        """Local power-law exponents (lo, hi) of the direction-averaged values at the
+        open ends; None for a closed end, NaN where they vanish at both probes."""
+        at = np.abs(self._at_probes(values))
+
+        def slope(a, b):
+            e = np.log(np.maximum(b, 1e-300) / np.maximum(a, 1e-300)) / math.log(PROBE_RATIO)
+            return np.where(np.maximum(a, b) > 1e-250, e, np.nan)
+
+        return (
+            slope(at[..., 0], at[..., 1]) if self.open_lo else None,
+            slope(at[..., -2], at[..., -1]) if self.open_hi else None,
+        )
+
+    def integrate(self, values):
+        """int f nu(dz) over the shell from f at the nodes; batch axes lead."""
+        values = np.asarray(values, dtype=float)
+        total = values @ self.weights
+        at, alpha = self._at_probes(values), self.model.alpha
+        # beyond a cut r, f ~ f(r) (s/r)^e against area s^(-1-alpha) ds gives
+        # f(r) area r^(-alpha) / gap, gap = e - alpha at 0 and alpha - e at inf
+        for e, sign, k, end in zip(self.end_exponents(values), (1.0, -1.0), (0, -1), ("0", "inf")):
+            if e is None:
+                continue
+            gap = sign * (e - alpha)
+            live = np.isfinite(gap)
+            if np.any(live & (gap <= 0.0)):
+                raise DivergenceError(
+                    f"integral against nu diverges at |z| -> {end}: the local exponent "
+                    f"misses alpha = {alpha} by {float(np.nanmin(gap)):.3g}"
+                )
+            scale = sphere_area(self.model.dim) * self.edges[k] ** (-alpha)
+            total = total + np.where(live, at[..., k] * scale / np.where(live, gap, 1.0), 0.0)
+        return total
+
+
+def shell_rule(model, r1, r2):
+    """The nu-quadrature rule for {r1 <= |z| < r2}; see ``ShellRule``.
+
+    Panels are log-spaced, ``PANELS_PER_DECADE`` to a decade, with the radii of
+    a table (clipped to its support) as extra edges and a linear first panel
+    from 0.  The stable measure's open ends are cut at RULE_LO and RULE_HI.
+    """
+    if not (0 <= r1 <= r2):
+        raise ParameterError(f"need 0 <= r1 <= r2, got r1={r1}, r2={r2}")
+    breaks = np.empty(0)
+    open_lo = open_hi = False
+    if model.kind == "isotropic_stable":
+        open_lo, open_hi = r1 == 0.0, bool(np.isinf(r2))
+        lo = min(RULE_LO, r2) if open_lo else r1
+        hi = max(RULE_HI, lo) if open_hi else r2
+    else:
+        lo, hi = max(r1, model.radii[0]), min(r2, model.radii[-1])
+        breaks = model.radii[(model.radii > lo) & (model.radii < hi)]
+    if not hi > lo:
+        return ShellRule(model, [lo], open_lo, open_hi)
+    first = lo if lo > 0 else (breaks[0] if len(breaks) else hi)
+    n = max(1, math.ceil(PANELS_PER_DECADE * math.log10(hi / first) - 1e-9))
+    edges = np.union1d(np.geomspace(first, hi, n + 1), breaks)
+    if lo == 0:
+        edges = np.concatenate([[0.0], edges])
+    return ShellRule(model, edges, open_lo, open_hi)

@@ -9,9 +9,10 @@ fixed point, mirroring its lower-order role.
 
 The nonlocal operator splits the z-integral at delta = sqrt(h): below delta
 the exact second-order Taylor remainder collapses to u''(x)/2 times the
-second jump moment; above delta the integrand u(x+g)-u(x)-g u'(x) is
-integrated directly on log-spaced Gauss-Legendre panels with doubling until
-the value settles.
+second jump moment (``gamma_moment``, one call for all nodes); above delta
+the integrand u(x+g)-u(x)-g u'(x) is integrated directly with the
+nu-quadrature rule of ``levy_noise``, its panels halved until the value
+settles.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from levylab.errors import (
     NonConvergenceError,
     ParameterError,
 )
+from levylab.levy_noise import shell_rule
 from levylab.sde_model import SdeProblem, floor_away_from_zero, gamma_moment, problem_1d
 
 __all__ = [
@@ -152,59 +154,37 @@ def gridfunction_to_csv(gf, fileobj):
 # nonlocal operator
 
 
-def _outer_panels(delta, big_r, n_panels):
-    """Gauss-Legendre nodes/weights on log-spaced panels of [delta, R]."""
-    edges = np.exp(np.linspace(math.log(delta), math.log(big_r), n_panels + 1))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    weights = (half[:, None] * gl_w[None, :]).ravel()
-    return nodes, weights
-
-
 def _nonlocal_outer_on_points(u, p, xs, delta, tol=1e-6):
     """Outer part of the small-jump generator at points xs (vectorized).
 
     Direct quadrature of u(x+g(x,z)) - u(x) - g(x,z) u'(x) over
-    delta <= |z| < R, doubling the panel count until the value settles.
+    delta <= |z| < R, halving the rule's panels until the value settles.
     """
-    model = p.levy
-    big_r = model.big_jump_radius
-    if delta >= big_r:
-        return np.zeros_like(xs)
     du, _ = u.stencil_derivatives()
     du_x = np.interp(xs, u.x, du)
     ux = u.eval_smooth(xs)
 
+    rule = shell_rule(p.levy, delta, p.levy.big_jump_radius)
     prev = None
-    n_panels = 16
     while True:
-        nodes, weights = _outer_panels(delta, big_r, n_panels)
-        dens = model.radial_intensity(nodes) / 2.0  # one-sided line density
-        total = np.zeros_like(xs)
-        for sign in (1.0, -1.0):
-            z = sign * nodes
-            gv = p.g(0.0, np.repeat(xs, len(nodes)), np.tile(z, len(xs))).reshape(len(xs), len(nodes))
-            integrand = u.eval_smooth(xs[:, None] + gv) - ux[:, None] - gv * du_x[:, None]
-            total += integrand @ (weights * dens)
+        gv = p.g_pairs(0.0, xs, rule.nodes)
+        total = rule.integrate(u.eval_smooth(xs[:, None] + gv) - ux[:, None] - gv * du_x[:, None])
         if prev is not None and np.max(np.abs(total - prev)) <= tol * (1.0 + np.max(np.abs(total))):
             return total
-        if n_panels >= 1024:
+        if len(rule.edges) > 1024:
             return total
         prev = total
-        n_panels *= 2
+        rule = rule.refined()
 
 
 def _nonlocal_on_grid(u, p, xs, tol=1e-6):
     """Small-jump generator L^g_{nu,R} u at the points xs."""
-    if p.levy is None or (p.jump is None and p.sigma_bar is None):
+    if not p.has_jumps:
         return np.zeros_like(xs)
     delta = min(math.sqrt(u.h), p.levy.big_jump_radius)
     _, d2 = u.stencil_derivatives()
     d2_x = np.interp(xs, u.x, d2)
-    inner_mass = np.array([gamma_moment(p, x, 0, 2.0, 0.0, delta) for x in xs])
-    inner = 0.5 * d2_x * inner_mass
+    inner = 0.5 * d2_x * gamma_moment(p, xs, 0, 2.0, 0.0, delta)
     outer = _nonlocal_outer_on_points(u, p, xs, delta, tol=tol)
     return inner + outer
 
@@ -339,8 +319,6 @@ def solve_backward_pide(
     else:
         v = np.broadcast_to(np.asarray(terminal, dtype=float), xs.shape).copy().astype(float)
     forcing = _coerce_forcing(f, xs)
-    has_jump = p.levy is not None and (p.jump is not None or p.sigma_bar is not None)
-
     n_steps = int(math.ceil(horizon / dt - 1e-12))
     times = np.linspace(0.0, horizon, n_steps + 1)
     values = np.empty((n_steps + 1, n))
@@ -363,18 +341,13 @@ def solve_backward_pide(
         guess = v.copy()
         residual_first = None
         for sweep in range(max_sweeps):
-            if has_jump:
-                gf = GridFunction(lo, hi, n, guess)
-                nl = _nonlocal_on_grid(gf, p, xs, tol=nonlocal_tol)
-            else:
-                nl = 0.0
+            nl = _nonlocal_on_grid(GridFunction(lo, hi, n, guess), p, xs, tol=nonlocal_tol)
             rhs = v / step - fvec + nl
-            rhs = np.asarray(rhs, dtype=float)
             rhs[0], rhs[-1] = edge
             new = lu.solve(rhs)
             res = float(np.max(np.abs(new - guess)))
             guess = new
-            if res < sweep_tol or not has_jump:
+            if res < sweep_tol or not p.has_jumps:
                 break
             if residual_first is None:
                 residual_first = res
@@ -398,26 +371,18 @@ def solve_elliptic(p, f, lam, grid, drift="b1", nonlocal_tol=1e-6, sweep_tol=1e-
     xs = np.linspace(lo, hi, n)
     a, bv = _elliptic_coeffs(p, xs, drift=drift)
     forcing = _coerce_forcing(f, xs)(0.0)
-    has_jump = p.levy is not None and (p.jump is not None or p.sigma_bar is not None)
-
     lu = splu(_local_matrix(a, bv, lam, xs))
     guess = np.zeros(n)
     residual = np.inf
     residual_first = None
     for sweep in range(max_sweeps):
-        if has_jump:
-            gf = GridFunction(lo, hi, n, guess)
-            nl = _nonlocal_on_grid(gf, p, xs, tol=nonlocal_tol)
-        else:
-            nl = 0.0
-        rhs = np.asarray(nl - forcing, dtype=float)
-        if np.ndim(rhs) == 0:
-            rhs = np.full(n, float(rhs))
+        nl = _nonlocal_on_grid(GridFunction(lo, hi, n, guess), p, xs, tol=nonlocal_tol)
+        rhs = nl - forcing
         rhs[0], rhs[-1] = 0.0, 0.0
         new = lu.solve(rhs)
         residual = float(np.max(np.abs(new - guess)))
         guess = new
-        if residual < sweep_tol or not has_jump:
+        if residual < sweep_tol or not p.has_jumps:
             break
         if residual_first is None:
             residual_first = residual
@@ -503,8 +468,9 @@ def build_zvonkin(p, lam=None, grid=None, lam_start=10.0, lam_cap=2.0**20):
     sigma~(y) = (Phi' sigma)(Phi^-1(y)),  b~(y) = (lam u + Phi' b2)(Phi^-1(y)),
     g~(y, z) = Phi(Phi^-1(y) + g(Phi^-1(y), z)) - y.
     When lam is None it starts at ``lam_start`` and doubles until
-    ||u||_inf + ||u'||_inf <= 1/2; explicit lam that violates the contraction
-    raises ContractionError with the measured norms.
+    ||u||_inf + ||u'||_inf <= 1/2, stepping past lambdas whose nonlocal sweeps
+    diverge; explicit lam that violates the contraction raises ContractionError
+    with the measured norms, and one whose sweeps diverge NonConvergenceError.
     """
     if not p.time_homogeneous:
         raise ParameterError("build_zvonkin needs a time-homogeneous problem")
@@ -527,13 +493,21 @@ def build_zvonkin(p, lam=None, grid=None, lam_start=10.0, lam_cap=2.0**20):
             lam_values.append(v)
             v *= 2.0
 
-    last = None
+    last = diverged = None
     for lv in lam_values:
-        sol = solve_elliptic(p, rhs, lv, grid, drift="b1")
+        try:
+            sol = solve_elliptic(p, rhs, lv, grid, drift="b1")
+        except NonConvergenceError as err:  # a larger lambda damps the sweeps
+            if lam is not None:
+                raise
+            diverged = err
+            continue
         last = sol
         if sol.sup_u + sol.sup_grad <= 0.5:
             zmap = ZvonkinMap(u=sol.u, lam=lv, sup_u=sol.sup_u, sup_grad=sol.sup_grad)
             return zmap, _transformed_problem(p, zmap)
+    if last is None:
+        raise diverged
     raise ContractionError(
         f"contraction condition violated: ||u|| + ||u'|| = {last.sup_u + last.sup_grad:.4f} > 1/2 "
         f"at lambda = {last.lam}; raise lambda",

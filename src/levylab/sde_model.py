@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate
 
 from levylab.errors import DivergenceError, EvaluationError, ParameterError
-from levylab.levy_noise import LevyModel, sphere_area
+from levylab.levy_noise import LevyModel, shell_rule
 
 __all__ = [
     "SdeProblem",
@@ -95,6 +94,11 @@ class SdeProblem:
     def has_split(self):
         return self.b1 is not None or self.b2 is not None
 
+    @property
+    def has_jumps(self):
+        """A Levy measure and a jump coefficient (whole or multiplicative) are both declared."""
+        return self.levy is not None and (self.jump is not None or self.sigma_bar is not None)
+
     def b(self, t, x):
         """Full drift (sum of the declared split when no whole drift given)."""
         if self.drift is not None:
@@ -115,6 +119,11 @@ class SdeProblem:
         if self.jump is None:
             return np.zeros_like(np.asarray(x, dtype=float))
         return np.asarray(self.jump(t, x, z), dtype=float)
+
+    def g_pairs(self, t, x, z):
+        """g(t, x_i, z_k) for every pair, shape (len(x), len(z)), in one call (dim=1)."""
+        x, z = np.ravel(x), np.ravel(z)
+        return self.g(t, np.repeat(x, len(z)), np.tile(z, len(x))).reshape(len(x), len(z))
 
     def with_tags(self, **tags):
         return replace(self, **tags)
@@ -356,104 +365,52 @@ def audit_dissipativity(p, radial_grid):
 
 
 def _jump_derivative(p, t, x, z, j):
-    """|grad_x^j g| at scalar x over a batch of z (dim=1)."""
-    z = np.asarray(z, dtype=float)
-    xv = np.full_like(z, x)
+    """|grad_x^j g| at every pair of states x and marks z, shape (len(x), len(z)) (dim=1)."""
+    x = np.ravel(np.asarray(x, dtype=float))
     if j == 0:
-        return np.abs(p.g(t, xv, z))
-    h = 1e-5 * (abs(x) + 1.0)
-    return np.abs(p.g(t, xv + h, z) - p.g(t, xv - h, z)) / (2.0 * h)
-
-
-def _local_exponent(vals, radii):
-    a, b = np.maximum(vals, 1e-300), radii
-    return np.log(a[1] / a[0]) / np.log(b[1] / b[0])
+        return np.abs(p.g_pairs(t, x, z))
+    h = 1e-5 * (np.abs(x) + 1.0)
+    return np.abs(p.g_pairs(t, x + h, z) - p.g_pairs(t, x - h, z)) / (2.0 * h[:, None])
 
 
 def gamma_moment(p, x, j, alpha_prime, r1, r2):
     """Gamma-type moment: int_{r1 <= |z| < r2} |grad_x^j g(x,z)|^alpha' nu(dz).
 
+    ``x`` is a state or an array of states; the result has its shape.
     grad_x g falls back to central finite differences (step 1e-5 (|x|+1)).
-    Implemented by radial adaptive quadrature for dim=1; multiplicative jump
-    coefficients factorize in any dimension.
+    Implemented for dim=1 as one batched evaluation of g over all states and the
+    nodes of ``levy_noise.shell_rule``; at the stable measure's open ends the
+    measured local exponent both screens for divergence and closes the integral.
     """
-    if p.jump is None and p.sigma_bar is None:
-        return 0.0
     if j not in (0, 1):
         raise ParameterError(f"j must be 0 or 1, got {j}")
     if not (0 <= r1 <= r2):
         raise ParameterError(f"need 0 <= r1 <= r2, got {r1}, {r2}")
-    model = p.levy
-    if model is None:
-        raise ParameterError("gamma_moment needs a LevyModel")
-    if model.kind == "radial_table":
-        r2 = min(r2, float(model.radii[-1]))
-        r1 = max(r1, float(model.radii[0]))
-    if r1 == r2:
-        return 0.0
+    x = np.asarray(x, dtype=float)
+    if not p.has_jumps or r1 == r2:
+        return 0.0 if x.ndim == 0 else np.zeros(x.shape)
     if p.dim != 1:
         raise ParameterError("gamma_moment is implemented for dim=1 problems")
 
-    t = 0.0
-    x = float(np.atleast_1d(x)[0])
-
-    def magnitude(s, sign):
-        return _jump_derivative(p, t, x, sign * np.asarray(s, dtype=float), j)
-
+    rule = shell_rule(p.levy, r1, r2)
+    mag = _jump_derivative(p, 0.0, x, rule.nodes, j)
     # divergence screening from measured local growth exponents
-    alpha = model.alpha if model.kind == "isotropic_stable" else None
-    if alpha is not None:
-        if r1 == 0.0:
-            probes = np.array([1e-6, 1e-4])
-            vals = 0.5 * (magnitude(probes, 1.0) + magnitude(probes, -1.0))
-            if np.max(vals) > 1e-250:
-                expo = _local_exponent(vals, probes)
-                if alpha_prime * expo - alpha <= 1e-9:
-                    raise DivergenceError(
-                        f"gamma_moment diverges at r1=0: local exponent {expo:.3f} gives "
-                        f"alpha'*exponent = {alpha_prime * expo:.3f} <= alpha = {alpha}"
-                    )
-        if np.isinf(r2):
-            probes = np.array([1e3, 1e5])
-            vals = 0.5 * (magnitude(probes, 1.0) + magnitude(probes, -1.0))
-            if np.max(vals) > 1e-250:
-                expo = _local_exponent(vals, probes)
-                if alpha_prime * expo - alpha >= -1e-9:
-                    raise DivergenceError(
-                        f"gamma_moment diverges at r2=inf: local exponent {expo:.3f} gives "
-                        f"alpha'*exponent = {alpha_prime * expo:.3f} >= alpha = {alpha}"
-                    )
-
-    # one-sided density of nu on the line is radial_intensity/2; with the
-    # log substitution s = e^u the du-Jacobian is s, so the stable integrand
-    # becomes |D|^alpha' * e^(-alpha u), assembled in log space to dodge
-    # overflow of s^(-1-alpha) near u -> -inf.
-    import math as _math
-
-    stable = model.kind == "isotropic_stable"
-
-    def integrand_log(u, sign):
-        if abs(u) > 700.0:
-            # the divergence screens already passed, so the integrand decays
-            # exponentially in u out here; dodge exp overflow
-            return 0.0
-        s = _math.exp(u)
-        mag = float(np.atleast_1d(magnitude(np.array([s]), sign))[0])
-        if mag <= 0.0:
-            return 0.0
-        if stable:
-            return _math.exp(alpha_prime * _math.log(mag) - model.alpha * u)
-        return mag**alpha_prime * float(model.radial_intensity(s)) / 2.0 * s
-
-    total = 0.0
-    lo = -np.inf if r1 == 0.0 else np.log(r1)
-    hi = np.inf if np.isinf(r2) else np.log(r2)
-    for sign in (1.0, -1.0):
-        val, _ = integrate.quad(
-            integrand_log, lo, hi, args=(sign,), epsabs=1e-13, epsrel=1e-8, limit=400
+    e_lo, e_hi = rule.end_exponents(mag)
+    alpha = p.levy.alpha
+    if e_lo is not None and np.any(alpha_prime * e_lo - alpha <= 1e-9):
+        expo = float(np.nanmin(e_lo))
+        raise DivergenceError(
+            f"gamma_moment diverges at r1=0: local exponent {expo:.3f} gives "
+            f"alpha'*exponent = {alpha_prime * expo:.3f} <= alpha = {alpha}"
         )
-        total += val
-    return total
+    if e_hi is not None and np.any(alpha_prime * e_hi - alpha >= -1e-9):
+        expo = float(np.nanmax(e_hi))
+        raise DivergenceError(
+            f"gamma_moment diverges at r2=inf: local exponent {expo:.3f} gives "
+            f"alpha'*exponent = {alpha_prime * expo:.3f} >= alpha = {alpha}"
+        )
+    out = rule.integrate(mag**alpha_prime)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,6 @@ def test_criterion_11_byte_determinism(tmp_path):
     blobs = []
     for threads in ("1", "2", "4"):
         assert main(["run", str(path), "--threads", threads]) == 0
-        blobs.append(open(tmp_path / "out" / "results.json", "rb").read())
+        blobs.append((tmp_path / "out" / "results.json").read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2]
     assert report(11, ok, f"results.json byte-identical across thread counts (1, 2, 4), {len(blobs[0])} bytes")

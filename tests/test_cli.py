@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,8 +111,8 @@ class TestRun:
         rc = main(["run", path])
         assert rc == 0
         out = cfg["output_dir"]
-        results = json.loads(open(os.path.join(out, "results.json")).read())
-        manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+        results = json.loads(Path(os.path.join(out, "results.json")).read_text())
+        manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
         assert results["verdict"] == "pass"
         assert 0.8 < results["variance"] < 1.2
         assert manifest["seed"] == 12345
@@ -121,21 +122,21 @@ class TestRun:
     def test_byte_reproducible_across_threads(self, tmp_path):
         path, cfg = write_config(tmp_path)
         assert main(["run", path, "--threads", "1"]) == 0
-        first = open(os.path.join(cfg["output_dir"], "results.json"), "rb").read()
+        first = Path(os.path.join(cfg["output_dir"], "results.json")).read_bytes()
         assert main(["run", path, "--threads", "4"]) == 0
-        second = open(os.path.join(cfg["output_dir"], "results.json"), "rb").read()
+        second = Path(os.path.join(cfg["output_dir"], "results.json")).read_bytes()
         assert first == second
 
     def test_manifest_config_round_trip(self, tmp_path):
         path, cfg = write_config(tmp_path)
         assert main(["run", path]) == 0
         out = cfg["output_dir"]
-        manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
-        first = open(os.path.join(out, "results.json"), "rb").read()
+        manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
+        first = Path(os.path.join(out, "results.json")).read_bytes()
         echo_path = tmp_path / "echo.json"
         echo_path.write_text(json.dumps(manifest["config"]))
         assert main(["run", str(echo_path)]) == 0
-        second = open(os.path.join(out, "results.json"), "rb").read()
+        second = Path(os.path.join(out, "results.json")).read_bytes()
         assert first == second
 
     def test_failed_check_exits_two(self, tmp_path):
@@ -155,7 +156,7 @@ class TestRun:
     def test_seed_override(self, tmp_path):
         path, cfg = write_config(tmp_path)
         assert main(["run", path, "--seed-override", "99"]) == 0
-        results = json.loads(open(os.path.join(cfg["output_dir"], "results.json")).read())
+        results = json.loads(Path(os.path.join(cfg["output_dir"], "results.json")).read_text())
         assert results["seed"] == 99
 
     def test_output_env_override(self, tmp_path, monkeypatch):
@@ -173,7 +174,7 @@ class TestRun:
         )
         rc = main(["audit", path])
         assert rc == 0
-        results = json.loads(open(os.path.join(cfg["output_dir"], "results.json")).read())
+        results = json.loads(Path(os.path.join(cfg["output_dir"], "results.json")).read_text())
         assert results["experiment"] == "audit"
         assert results["dissipativity"]["passed"]
 
@@ -188,7 +189,7 @@ class TestRun:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path)]) == 0
-        results = json.loads(open(tmp_path / "g" / "results.json").read())
+        results = json.loads((tmp_path / "g" / "results.json").read_text())
         assert results["lhs"] == 1 and results["cap"] == 8 and results["verdict"] == "pass"
 
     def test_simulate_writes_paths(self, tmp_path):
@@ -203,7 +204,7 @@ class TestRun:
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path)]) == 0
         assert os.path.exists(tmp_path / "s" / "path_0.csv")
-        header = open(tmp_path / "s" / "path_0.csv").readline().strip()
+        header = (tmp_path / "s" / "path_0.csv").read_text().splitlines()[0].strip()
         assert header == "path_id,t,x_1,is_jump"
 
 

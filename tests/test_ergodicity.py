@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 from scipy.stats import norm
 
-from levylab.errors import ParameterError, SignalTooWeakError
+from levylab.errors import DivergenceError, ParameterError, SignalTooWeakError
 from levylab.ergodicity import (
     EmpiricalMeasure,
     binned_tv,
@@ -105,6 +105,13 @@ class TestLyapunov:
                 gamma_moment(p, x, 0, 2.0, 0.0, 1.0) + gamma_moment(p, x, 0, 1.0, 1.0, np.inf)
             )
             assert jump_part <= bound + 1e-9
+
+
+    def test_divergent_large_jump_integral_is_refused(self):
+        # |g| ~ |z|^2 against the 1.5-stable tail: Gamma^{0,1}_{R,inf}(g) is infinite
+        p = problem_1d(g=lambda x, z: z * np.abs(z) + 0 * x, levy=preset("mixing_jump").levy)
+        with pytest.raises(DivergenceError, match="Gamma"):
+            lyapunov_margin(p, np.array([0.0, 1.0]), 0.5, 2.0)
 
 
 class TestTvDecay:

@@ -10,6 +10,7 @@ from levylab.levy_noise import LevyModel
 from levylab.integrator import (
     PathSample,
     StepConfig,
+    _SmallJumpBand,
     path_to_csv,
     simulate_ensemble,
     simulate_interlaced,
@@ -215,3 +216,35 @@ def test_exact_stable_mode_matches_reference_law():
     for pt, val, se in zip(est.points, est.values, est.se):
         ref = stable_density_reference(1.5, 1, t_sym, pt)
         assert abs(val - ref) < 3 * se + 0.02 * ref
+
+
+def non_odd(levy):
+    # g(z) = z + |z|/4: 1.25 z for z > 0 and 0.75 z for z < 0, so int g nu = int s f(s)/2 ds
+    return problem_1d(g=lambda x, z: z + 0.25 * np.abs(z) + 0 * x, levy=levy)
+
+
+def test_non_odd_band_compensator_stable_closed_form():
+    # eps = R/32 by default: int_{eps<=|z|<R} g nu(dz) = int_eps^R s^(-1.5) ds = sqrt(32) - 1
+    band = _SmallJumpBand(non_odd(M15), StepConfig(dt=1e-2))
+    assert not band.odd
+    comp = band.compensator(0.0, np.array([0.3, -1.0, 4.0]))
+    assert comp == pytest.approx(np.full(3, np.sqrt(32.0) - 1.0), rel=1e-12)
+
+
+def test_non_odd_band_compensator_radial_table_closed_form():
+    from test_levy_noise import piecewise_linear_moment
+
+    radii = np.linspace(0.01, 1.5, 60)
+    tab = LevyModel(kind="radial_table", dim=1, big_jump_radius=1.0, radii=radii, densities=radii**-2.5)
+    band = _SmallJumpBand(non_odd(tab), StepConfig(dt=1e-2))
+    exact = 0.5 * piecewise_linear_moment(radii, radii**-2.5, 1.0 / 32.0, 1.0, 1.0)
+    assert band.compensator(0.0, np.array([0.0, 2.0])) == pytest.approx(np.full(2, exact), rel=1e-12)
+
+
+def test_non_odd_jumps_are_centred_by_the_compensator():
+    # no table mass beyond R, so X_T is the compensated band sum: mean 0
+    radii = np.linspace(0.01, 0.9, 40)
+    tab = LevyModel(kind="radial_table", dim=1, big_jump_radius=1.0, radii=radii, densities=radii**-2.5)
+    ens = simulate_ensemble(non_odd(tab), 0.0, 0.5, StepConfig(dt=0.05), 20_000, 8)
+    x = ens.terminal[:, 0]
+    assert abs(np.mean(x)) < 4 * np.std(x) / np.sqrt(len(x))

@@ -10,6 +10,7 @@ from levylab.levy_noise import (
     levy_constant,
     sample_isotropic_stable,
     sample_large_jumps,
+    shell_rule,
     stable_increment_batch,
     tail_mass,
 )
@@ -146,14 +147,69 @@ def test_tail_mass_radial_table_quadrature():
     assert abs(got - 1.5) < 1e-8
 
 
+def _symbol_oracle(d, alpha):
+    """int (1 - cos z_1) |z|^(-d-alpha) dz, the symbol of nu at |xi| = 1.
+
+    The head near 0 goes to QUADPACK's algebraic weight r^(1-alpha) with the
+    smooth factor (1 - cos r)/r^2 (or (1 - J0(r))/r^2).  In d = 1 the tail
+    splits into the closed form int_1^inf u^(-1-alpha) du = 1/alpha and the
+    Fourier rule for the cosine; in d = 2 it runs on pi-wide panels to 200 pi,
+    beyond which the J0 part is below 1e-8 and the rest is closed-form.
+    """
+    head = lambda f, b: integrate.quad(f, 0.0, b, weight="alg", wvar=(1.0 - alpha, 0.0), epsabs=0.0, epsrel=1e-12)[0]
+    if d == 1:
+        near = head(lambda u: 2.0 * np.sin(0.5 * u) ** 2 / u**2 if u > 0 else 0.5, 1.0)
+        cos_tail = integrate.quad(lambda u: u ** (-1.0 - alpha), 1.0, np.inf, weight="cos", wvar=1.0)[0]
+        return 2.0 * (near + 1.0 / alpha - cos_tail)
+    near = head(lambda r: (1.0 - special.j0(r)) / r**2 if r > 0 else 0.25, np.pi)
+    panels = sum(
+        integrate.quad(lambda r: (1.0 - special.j0(r)) * r ** (-1.0 - alpha), k * np.pi, (k + 1) * np.pi, epsabs=0.0, epsrel=1e-12)[0]
+        for k in range(1, 200)
+    )
+    return 2.0 * np.pi * (near + panels + (200.0 * np.pi) ** (-alpha) / alpha)
+
+
+def piecewise_linear_moment(radii, densities, r1, r2, power):
+    """Exact int_{r1}^{r2} s^power f(s) ds for f linear between the table radii."""
+    total = 0.0
+    for a, b, fa, fb in zip(radii[:-1], radii[1:], densities[:-1], densities[1:]):
+        lo, hi = max(a, r1), min(b, r2)
+        if hi > lo:
+            slope = (fb - fa) / (b - a)
+            c0, c1 = fa - slope * a, slope
+            total += c0 * (hi ** (power + 1) - lo ** (power + 1)) / (power + 1)
+            total += c1 * (hi ** (power + 2) - lo ** (power + 2)) / (power + 2)
+    return total
+
+
+def test_radial_table_with_250_interior_radii():
+    radii = np.geomspace(0.01, 5.0, 252)
+    dens = radii**-2.5
+    tab = LevyModel(kind="radial_table", dim=1, big_jump_radius=1.0, radii=radii, densities=dens)
+    for r1, r2, moment in [(0.0, np.inf, 2.0), (0.03, 4.0, 1.5), (1.0, np.inf, 0.0)]:
+        exact = 2.0 * piecewise_linear_moment(radii, dens, r1, r2, moment)
+        assert tail_mass(tab, r1, r2, moment) == pytest.approx(exact, rel=1e-12)
+
+
+def test_rule_matches_closed_form_tail_mass_at_open_ends():
+    # the power-law remainders close r1 = 0 and r2 = inf exactly for power integrands
+    for model in (M15, LevyModel(alpha=0.8, dim=2, big_jump_radius=1.0)):
+        low, high = shell_rule(model, 0.0, 1.0), shell_rule(model, 1.0, np.inf)
+        assert low.integrate(np.abs(low.nodes) ** 2) == pytest.approx(tail_mass(model, 0.0, 1.0, 2.0), rel=1e-12)
+        assert high.integrate(np.ones_like(high.nodes)) == pytest.approx(tail_mass(model, 1.0, np.inf, 0.0), rel=1e-10)
+        both = shell_rule(model, 0.0, np.inf)
+        assert both.integrate(np.minimum(np.abs(both.nodes) ** 2, 1.0)) == pytest.approx(
+            tail_mass(model, 0.0, 1.0, 2.0) + tail_mass(model, 1.0, np.inf, 0.0), rel=1e-10
+        )
+
+
+def test_rule_refuses_divergent_ends():
+    rule = shell_rule(M15, 0.0, 1.0)
+    with pytest.raises(DivergenceError, match="0"):
+        rule.integrate(np.abs(rule.nodes))
+
+
 @pytest.mark.parametrize("d,alpha", [(1, 1.0), (1, 1.5), (2, 1.5)])
 def test_levy_constant_against_quadrature(d, alpha):
-    if d == 1:
-        val, _ = integrate.quad(lambda u: (1 - np.cos(u)) * u ** (-1 - alpha), 0, np.inf, limit=600)
-        oracle = 2 * val
-    else:
-        val, _ = integrate.quad(
-            lambda r: (1 - special.j0(r)) * r ** (-1 - alpha), 0, np.inf, limit=900
-        )
-        oracle = 2 * np.pi * val
-    assert abs(levy_constant(d, alpha) - oracle) < 5e-3 * oracle
+    oracle = _symbol_oracle(d, alpha)
+    assert abs(levy_constant(d, alpha) - oracle) < 1e-7 * oracle

@@ -13,7 +13,7 @@ from levylab.pide_zvonkin import (
     solve_backward_pide,
     solve_elliptic,
 )
-from levylab.sde_model import audit_dissipativity, preset, problem_1d
+from levylab.sde_model import SdeProblem, audit_dissipativity, preset, problem_1d
 
 M15 = LevyModel(alpha=1.5, dim=1, big_jump_radius=1.0)
 BM2 = problem_1d(sigma=lambda x: np.sqrt(2.0) * np.ones_like(x))  # a = 1
@@ -202,6 +202,25 @@ class TestZvonkin:
         assert q_trans_f < 1.5 * q_trans_c
         rep = audit_dissipativity(q, np.linspace(0.0, 8.0, 33))
         assert rep.passed
+
+    def test_lambda_search_steps_past_divergent_sweeps(self):
+        # the paper's main setting: singular drift plus multiplicative 1.5-stable
+        # jumps; the sweeps diverge at lambda = 10 and 20 and contract at 40
+        sigma_bar = lambda t, x: 0.5 * np.sqrt(np.abs(x))
+        p = SdeProblem(
+            sigma=lambda t, x: np.ones_like(x),
+            b1=preset("ou_singular").b1,
+            b2=lambda t, x: -x,
+            jump=lambda t, x, z: sigma_bar(t, x) * z,
+            sigma_bar=sigma_bar,
+            levy=M15,
+        )
+        grid = (-10.0, 10.0, 51)
+        with pytest.raises(NonConvergenceError):
+            build_zvonkin(p, lam=20.0, grid=grid)
+        zmap, _ = build_zvonkin(p, grid=grid)
+        assert zmap.lam == 40.0
+        assert zmap.sup_u + zmap.sup_grad <= 0.5
 
     def test_nonconvergence_reports_lambda(self):
         # a fat jump coefficient at tiny lambda cannot contract

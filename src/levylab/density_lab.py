@@ -19,8 +19,8 @@ from levylab.errors import (
     SampleStarvedError,
     TailAccuracyError,
 )
-from levylab.integrator import _Engine, CHUNK_SIZE
-from levylab.levy_noise import levy_constant, sample_large_jumps
+from levylab.integrator import _Engine, _run_chunk, CHUNK_SIZE
+from levylab.levy_noise import levy_constant
 
 __all__ = [
     "DensityEstimate",
@@ -301,18 +301,10 @@ def killed_density(p, domain, t, x, eval_points, n_paths, seed, cfg):
     n_dead = 0
     master = int(seed)
     starts = list(range(0, n_paths, CHUNK_SIZE))
+    eng = _Engine(p, cfg, absorb=domain)
     for ci, lo_i in enumerate(starts):
         w = min(CHUNK_SIZE, n_paths - lo_i)
-        ss = np.random.SeedSequence(entropy=master, spawn_key=(ci,))
-        flow_ss, jump_ss = ss.spawn(2)
-        flow = np.random.default_rng(flow_ss)
-        jrng = np.random.default_rng(jump_ss)
-        if not cfg.exact_stable and p.has_jumps:
-            events = [sample_large_jumps(p.levy, t, jrng) for _ in range(w)]
-        else:
-            events = [[] for _ in range(w)]
-        eng = _Engine(p, cfg, record=False, absorb=domain)
-        res = eng.run(np.full((w, p.dim), float(x)), 0.0, t, flow, events=events)
+        res = _run_chunk(eng, np.full((w, p.dim), float(x)), t, master, ci)
         ok = ~np.isfinite(res["absorbed_at"]) & ~np.isfinite(res["exploded_at"])
         survivors.append(res["X"][ok, 0])
         n_dead += int(np.sum(~ok))

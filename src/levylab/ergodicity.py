@@ -19,8 +19,8 @@ from levylab.errors import (
     SampleStarvedError,
     SignalTooWeakError,
 )
-from levylab.integrator import _Engine, _streams, simulate_ensemble
-from levylab.levy_noise import sample_large_jumps, shell_rule
+from levylab.integrator import _draw_jumps, _Engine, _streams, simulate_ensemble
+from levylab.levy_noise import shell_rule
 
 __all__ = [
     "EmpiricalMeasure",
@@ -184,18 +184,12 @@ def estimate_invariant(
     per_chain = int(math.ceil(n_samples / n_chains))
     seg_len = thinning * cfg.dt
     flow, jumps = _streams(seed)
-    eng = _Engine(p, cfg, record=False)
-    has_jumps = not cfg.exact_stable and p.has_jumps and p.levy.big_jump_rate() > 0
+    eng = _Engine(p, cfg)
 
     X = np.full((n_chains, p.dim), float(x0))
 
     def advance(X, t_len):
-        events = (
-            [sample_large_jumps(p.levy, t_len, jumps) for _ in range(n_chains)]
-            if has_jumps
-            else [[] for _ in range(n_chains)]
-        )
-        res = eng.run(X, 0.0, t_len, flow, events=events)
+        res = eng.run(X, 0.0, t_len, flow, _draw_jumps(p, cfg, n_chains, t_len, jumps))
         if np.any(np.isfinite(res["exploded_at"])):
             raise SampleStarvedError("explosion during invariant-measure simulation")
         return res["X"]

@@ -9,11 +9,20 @@ driven by isotropic stable noise, ``exact_stable`` mode instead feeds the step
 an exact stable increment (large jumps included, compensator folded in by
 symmetry), bypassing the interlacing split entirely.
 
+Array layout: the large jumps of W paths over [0, T) are one Poisson process
+on [0, W T) whose i-th window belongs to path i, held as a ``JumpTrain`` (flat
+times and marks with per-path offsets).  Each base step takes one substep over
+all paths; the paths that jump in it are spliced by one g call, and only those
+still short of the step's end substep again.  The band jumps of a substep are
+one flat draw over all paths, summed per path with ``np.bincount``.
+
 Determinism: every simulation is keyed by a seed (int or SeedSequence) from
 which a (flow, jumps) stream pair is derived; the ensemble keys chunk i of
 ``CHUNK_SIZE`` paths by (master_seed, i), so results are bit-identical across
-runs and across worker counts, and an interlaced run whose jump stream drew
-no events consumes exactly the flow draws of the small-jump simulator.
+runs and across worker counts.  A one-path train is the single-path draw, so a
+one-path ensemble equals ``simulate_interlaced`` on the chunk's seed, and an
+interlaced run whose jump stream drew no events consumes exactly the flow
+draws of the small-jump simulator (DECISIONS.md).
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from levylab.errors import ParameterError, TruncationError
-from levylab.levy_noise import levy_constant, sample_large_jumps, shell_rule, tail_mass, _stable_increments
+from levylab.levy_noise import JumpTrain, ShellSampler, levy_constant, sample_large_jumps, shell_rule, tail_mass, _stable_increments
 
 __all__ = [
     "StepConfig",
@@ -128,7 +137,7 @@ class _SmallJumpBand:
         self.model = p.levy
         self.eps = cfg.cutoff(p.levy)
         self.big_r = p.levy.big_jump_radius
-        self.rate = tail_mass(p.levy, self.eps, self.big_r, 0.0)
+        self.sampler = ShellSampler(p.levy, self.eps, self.big_r)
         self.gauss = cfg.gaussian_correction
         # odd jump coefficients against the symmetric measure have a vanishing
         # band compensator; probed numerically once
@@ -143,11 +152,6 @@ class _SmallJumpBand:
                     "gaussian_correction needs a multiplicative jump coefficient (sigma_bar)"
                 )
             self.gauss_var_unit = tail_mass(p.levy, 0.0, self.eps, 2.0) / p.levy.dim
-        if self.model.kind == "radial_table":
-            fine = np.linspace(self.eps, self.big_r, 2048)
-            dens = self.model.radial_intensity(fine)
-            mass = np.concatenate([[0.0], np.cumsum(np.diff(fine) * 0.5 * (dens[1:] + dens[:-1]))])
-            self._fine, self._mass = fine, mass
 
     def _probe_odd(self, p):
         if p.sigma_bar is not None:
@@ -160,14 +164,6 @@ class _SmallJumpBand:
             if not np.allclose(p.g(0.0, probe_x, zz), -p.g(0.0, probe_x, -zz), atol=1e-12):
                 return False
         return True
-
-    def sample_radii(self, n, rng):
-        u = rng.random(n)
-        if self.model.kind == "isotropic_stable":
-            a = self.model.alpha
-            lo, hi = self.eps ** (-a), self.big_r ** (-a)
-            return (lo - u * (lo - hi)) ** (-1.0 / a)
-        return np.interp(u * self._mass[-1], self._mass, self._fine)
 
     def compensator(self, t, x):
         """int_{eps<=|z|<R} g(t,x,z) nu(dz), zero for odd g (symmetric nu)."""
@@ -234,18 +230,15 @@ class _Engine:
             upd += sb[:, None] * scale[:, None] * dl
         elif self.band is not None and self.band.active:
             band = self.band
-            counts = rng.poisson(band.rate * dtv)
-            kmax = int(counts.max()) if W else 0
-            for k in range(kmax):
-                radii = band.sample_radii(W, rng)
-                if d == 1:
-                    dirs = np.where(rng.random(W) < 0.5, -1.0, 1.0)[:, None]
-                else:
-                    v = rng.standard_normal((W, d))
-                    dirs = v / np.linalg.norm(v, axis=1, keepdims=True)
-                marks = radii[:, None] * dirs
-                gval = np.reshape(p.g(t, x_arg, marks[:, 0] if d == 1 else marks), (W, d))
-                upd += np.where((counts > k)[:, None], gval, 0.0)
+            # all band jumps of the substep in one flat draw, summed per owning path
+            counts = rng.poisson(band.sampler.rate * dtv)
+            n = int(counts.sum())
+            if n:
+                owner = np.repeat(np.arange(W), counts)
+                marks = band.sampler.marks(n, rng)
+                gval = np.reshape(p.g(t, x_arg[owner], marks[:, 0] if d == 1 else marks), (n, d))
+                for j in range(d):
+                    upd[:, j] += np.bincount(owner, weights=gval[:, j], minlength=W)
             comp = band.compensator(t, x_arg)
             if comp is not None:
                 upd -= np.reshape(comp, (W, d)) * dtv[:, None]
@@ -256,15 +249,26 @@ class _Engine:
 
         return np.where(alive[:, None], X + upd, X)
 
-    def run(self, x0, t0, t1, rng, events):
+    def run(self, x0, t0, t1, rng, jumps=None):
+        """Advance paths x0 (W, d) from t0 to t1; ``jumps`` is a W-path JumpTrain or None."""
         p = self.p
         X = np.array(x0, dtype=float, copy=True)
         W, d = X.shape
         exploded_at = np.full(W, np.nan)
+        absorbed_at = np.full(W, np.nan)
         alive = np.ones(W, dtype=bool)
+        paths = np.arange(W)
 
-        ptr = np.zeros(W, dtype=int)
-        next_jump = np.array([ev[0].time if ev else np.inf for ev in events])
+        # per-path cursor into the flat jump arrays; index n past the end reads inf
+        if jumps is None:
+            jumps = JumpTrain(np.empty(0), np.empty((0, d)), np.zeros(W + 1, dtype=np.int64))
+        jump_times = np.append(jumps.times, np.inf)
+        cursor, ends = jumps.offsets[:-1].copy(), jumps.offsets[1:]
+
+        def next_time(rows):
+            return jump_times[np.where(cursor[rows] < ends[rows], cursor[rows], len(jumps))]
+
+        next_jump = next_time(paths)
 
         n_steps = int(math.ceil((t1 - t0) / self.cfg.dt - 1e-12)) if t1 > t0 else 0
         if n_steps > self.cfg.max_steps:
@@ -287,58 +291,71 @@ class _Engine:
         snaps = {}
         f_prev = self._eval_f(t0, X) if self.integrand is not None else None
         integral = np.zeros_like(f_prev) if self.integrand is not None else None
-        absorbed_at = np.full(W, np.nan)
 
-        def check_explode(t_now):
-            nonlocal exploded_at, alive, absorbed_at
-            bad = alive & (
-                ~np.all(np.isfinite(X), axis=1) | (np.max(np.abs(X), axis=1) > EXPLOSION_BOUND)
-            )
+        def check_explode(t_now, rows):
+            Xr = X[rows]
+            bad = alive[rows] & (~np.all(np.isfinite(Xr), axis=1) | (np.max(np.abs(Xr), axis=1) > EXPLOSION_BOUND))
             if np.any(bad):
-                exploded_at = np.where(bad, t_now, exploded_at)
-                alive = alive & ~bad
+                exploded_at[rows] = np.where(bad, t_now, exploded_at[rows])
+                alive[rows] &= ~bad
             if self.absorb is not None:
                 lo, hi = self.absorb
-                out = alive & ((X[:, 0] <= lo) | (X[:, 0] >= hi))
+                out = alive[rows] & ((Xr[:, 0] <= lo) | (Xr[:, 0] >= hi))
                 if np.any(out):
-                    absorbed_at = np.where(out, t_now, absorbed_at)
-                    alive = alive & ~out
+                    absorbed_at[rows] = np.where(out, t_now, absorbed_at[rows])
+                    alive[rows] &= ~out
 
         t_cur = np.full(W, float(grid[0]))
+        every = slice(None)
         for k in range(1, len(grid)):
             target = float(grid[k])
+            # every path takes the first substep; after a splice only the paths
+            # still short of the target (or with a further jump at it) go on
+            rows = every
             while True:
-                stop = np.minimum(next_jump, target)
-                dtv = np.maximum(stop - t_cur, 0.0)
-                X = self.substep(X, float(np.min(t_cur)), dtv, rng, alive)
-                t_cur = np.where(alive, stop, t_cur)
-                check_explode(target)
+                stop = np.minimum(next_jump[rows], target)
+                dtv = np.maximum(stop - t_cur[rows], 0.0)
+                live = alive[rows]
+                step = self.substep(X[rows], float(np.min(t_cur[rows])), dtv, rng, live)
+                # the full-width pass rebinds X: copying into it made an
+                # exact_stable run of 32768 paths 25-30% slower
+                if rows is every:
+                    X = step
+                else:
+                    X[rows] = step
+                t_cur[rows] = np.where(live, stop, t_cur[rows])
+                check_explode(target, rows)
                 if integral is not None:
-                    f_new = self._eval_f(target, X)
-                    integral[alive] += (0.5 * dtv[:, None] * (f_prev + f_new))[alive]
-                    f_prev = f_new
-                jumping = alive & (next_jump <= target)
+                    f_new = self._eval_f(target, X[rows])
+                    trap = 0.5 * dtv[:, None] * (f_prev[rows] + f_new)
+                    integral[rows] = np.where(alive[rows][:, None], integral[rows] + trap, integral[rows])
+                    f_prev[rows] = f_new
+                jumping = alive[rows] & (next_jump[rows] <= target)
                 if not np.any(jumping):
                     break
-                if self.record and W == 1 and jumping[0]:
+                jw = paths[rows][jumping]
+                if self.record and W == 1:
                     rec_times.append(float(next_jump[0]))
                     rec_states.append(X.copy())
                     rec_isjump.append(False)
-                for w in np.nonzero(jumping)[0]:
-                    ev = events[w][ptr[w]]
-                    xw = X[w : w + 1, 0] if d == 1 else X[w : w + 1]
-                    mark = np.asarray(ev.mark, dtype=float).reshape(-1)
-                    gv = p.g(ev.time, xw, mark[0:1] if d == 1 else mark[None, :])
-                    X[w] = X[w] + np.reshape(gv, (d,))
-                    ptr[w] += 1
-                    next_jump[w] = events[w][ptr[w]].time if ptr[w] < len(events[w]) else np.inf
-                check_explode(target)
+                # the splice: one g call over every path that jumps in this step
+                at = cursor[jw]
+                tj = jump_times[at] if d == 1 else jump_times[at][:, None]
+                xw = X[jw, 0] if d == 1 else X[jw]
+                mk = jumps.marks[at, 0] if d == 1 else jumps.marks[at]
+                X[jw] += np.reshape(p.g(tj, xw, mk), (len(jw), d))
+                cursor[jw] += 1
+                next_jump[jw] = next_time(jw)
+                check_explode(target, jw)
                 if integral is not None:
-                    f_prev = self._eval_f(target, X)
-                if self.record and W == 1 and jumping[0]:
+                    f_prev[jw] = self._eval_f(target, X[jw])
+                if self.record and W == 1:
                     rec_times.append(rec_times[-1])
                     rec_states.append(X.copy())
                     rec_isjump.append(True)
+                rows = jw[alive[jw] & ((t_cur[jw] < target) | (next_jump[jw] <= target))]
+                if not len(rows):
+                    break
             if self.record and W == 1:
                 rec_times.append(target)
                 rec_states.append(X.copy())
@@ -360,6 +377,21 @@ class _Engine:
         return out
 
 
+def _draw_jumps(p, cfg, n_paths, horizon, rng):
+    """The large jumps of n_paths paths over [0, horizon): one Poisson process on
+    [0, n_paths * horizon), whose i-th window belongs to path i.  None when the
+    scheme splices no large jumps."""
+    if cfg.exact_stable or not p.has_jumps:
+        return None
+    return sample_large_jumps(p.levy, n_paths * horizon, rng).windows(n_paths, horizon)
+
+
+def _run_chunk(eng, x0s, horizon, master_seed, ci):
+    """Chunk ci of an ensemble: its streams are keyed by (master_seed, ci)."""
+    flow, jrng = _streams(np.random.SeedSequence(entropy=master_seed, spawn_key=(ci,)))
+    return eng.run(x0s, 0.0, horizon, flow, _draw_jumps(eng.p, eng.cfg, len(x0s), horizon, jrng))
+
+
 def simulate_small_jump_path(p, x0, t0, t1, cfg, seed):
     """Simulate the dynamics carrying only the compensated jumps below R.
 
@@ -369,7 +401,7 @@ def simulate_small_jump_path(p, x0, t0, t1, cfg, seed):
     if t0 > t1:
         raise ParameterError(f"need t0 <= t1, got {t0} > {t1}")
     flow, _ = _streams(seed)
-    return _finish_single(p, cfg, x0, t0, t1, flow, events=None)
+    return _finish_single(p, cfg, x0, t0, t1, flow, None)
 
 
 def simulate_interlaced(p, x0, horizon, cfg, seed):
@@ -381,22 +413,19 @@ def simulate_interlaced(p, x0, horizon, cfg, seed):
     jump integral is carried by exact stable increments instead and the event
     list stays empty.
     """
-    flow, jumps = _streams(seed)
-    events = None
-    if not cfg.exact_stable and p.has_jumps:
-        events = sample_large_jumps(p.levy, horizon, jumps)
-    return _finish_single(p, cfg, x0, 0.0, horizon, flow, events=events)
+    flow, jrng = _streams(seed)
+    return _finish_single(p, cfg, x0, 0.0, horizon, flow, _draw_jumps(p, cfg, 1, horizon, jrng))
 
 
-def _finish_single(p, cfg, x0, t0, t1, flow, events):
+def _finish_single(p, cfg, x0, t0, t1, flow, jumps):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     eng = _Engine(p, cfg, record=True)
-    res = eng.run(x0.reshape(1, -1), t0, t1, flow, events=[events or []])
+    res = eng.run(x0.reshape(1, -1), t0, t1, flow, jumps)
     exploded = res["exploded_at"][0]
     return PathSample(
         times=res["times"],
         states=res["states"],
-        events=list(events or []),
+        events=list(jumps or []),
         exploded_at=None if np.isnan(exploded) else float(exploded),
         isjump=res["isjump"],
     )
@@ -416,7 +445,7 @@ def simulate_ensemble(
     """Simulate n_paths independent interlaced paths, reduced in path order.
 
     Chunk i of ``CHUNK_SIZE`` paths draws from the stream keyed by
-    (master_seed, i); per-path outputs are stored by index and reductions run
+    (master_seed, i), its large jumps as one windowed train; per-path outputs are stored by index and reductions run
     over the indexed arrays in fixed order, so the result is bit-identical
     for a fixed master_seed at any worker count.  ``time_integrand`` f(t, x)
     is accumulated pathwise by trapezoid on the jump-adapted grid.
@@ -438,21 +467,11 @@ def simulate_ensemble(
         None if snapshot_times is None else np.sort(np.asarray(snapshot_times, dtype=float))
     )
     starts = list(range(0, n_paths, CHUNK_SIZE))
-    draw_events = not cfg.exact_stable and p.has_jumps
+    eng = _Engine(p, cfg, snapshot_times=snapshot_times, integrand=time_integrand)
 
     def run_chunk(ci):
         lo = starts[ci]
-        hi = min(lo + CHUNK_SIZE, n_paths)
-        ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(ci,))
-        flow_ss, jump_ss = ss.spawn(2)
-        flow = np.random.default_rng(flow_ss)
-        jrng = np.random.default_rng(jump_ss)
-        if draw_events:
-            events = [sample_large_jumps(p.levy, horizon, jrng) for _ in range(hi - lo)]
-        else:
-            events = [[] for _ in range(hi - lo)]
-        eng = _Engine(p, cfg, record=False, snapshot_times=snapshot_times, integrand=time_integrand)
-        return ci, eng.run(x0s[lo:hi], 0.0, horizon, flow, events=events)
+        return ci, _run_chunk(eng, x0s[lo : lo + CHUNK_SIZE], horizon, master_seed, ci)
 
     results = [None] * len(starts)
     if threads and threads > 1:

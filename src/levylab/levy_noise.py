@@ -19,7 +19,9 @@ open ends (DECISIONS.md).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate, special
@@ -29,6 +31,8 @@ from levylab.errors import DivergenceError, ParameterError
 __all__ = [
     "LevyModel",
     "JumpEvent",
+    "JumpTrain",
+    "ShellSampler",
     "levy_constant",
     "sample_isotropic_stable",
     "stable_increment_batch",
@@ -131,9 +135,14 @@ class LevyModel:
         f = np.interp(r, self.radii, self.densities, left=0.0, right=0.0)
         return area * r ** (self.dim - 1) * f
 
+    @cached_property
+    def large_jumps(self):
+        """The sampler of the large-jump marks, built once per model."""
+        return ShellSampler(self, self.big_jump_radius, np.inf)
+
     def big_jump_rate(self):
         """nu(B_R^c), always finite for a valid model."""
-        return tail_mass(self, self.big_jump_radius, np.inf, 0.0)
+        return self.large_jumps.rate
 
 
 def _cms_symmetric(alpha, size, rng):
@@ -186,50 +195,84 @@ def sample_isotropic_stable(model, t, rng):
     return _stable_increments(model.alpha, model.dim, t, 1, rng)[0]
 
 
-def _uniform_directions(dim, size, rng):
-    if dim == 1:
-        return np.where(rng.random(size) < 0.5, -1.0, 1.0)[:, None]
-    v = rng.standard_normal((size, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+class ShellSampler:
+    """Marks from nu restricted to the shell {r1 <= |z| < r2}, normalized.
+
+    ``rate`` is the shell's mass ``tail_mass(model, r1, r2, 0)``.  The radius
+    comes by inverse CDF (closed form for the stable kind; for a table, the
+    trapezoid masses of a grid that refines every table interval 64-fold), the
+    direction uniformly from the sphere.
+    """
+
+    def __init__(self, model, r1, r2):
+        self.model, self.r1, self.r2 = model, r1, r2
+        self.rate = tail_mass(model, r1, r2, 0.0)
+        if model.kind == "radial_table":
+            hi = min(r2, model.radii[-1])
+            edges = np.union1d([r1, max(r1, hi)], model.radii[(model.radii > r1) & (model.radii < hi)])
+            steps = np.linspace(0.0, 1.0, 65)[:-1]
+            fine = np.append((edges[:-1, None] + np.diff(edges)[:, None] * steps).ravel(), edges[-1])
+            mass = integrate.cumulative_trapezoid(model.radial_intensity(fine), fine, initial=0.0)
+            self._fine, self._mass = fine, mass
+
+    def radii(self, n, rng):
+        u = rng.random(n)
+        if self.model.kind == "isotropic_stable":
+            a = self.model.alpha
+            lo, hi = self.r1 ** (-a), self.r2 ** (-a)
+            return (lo - u * (lo - hi)) ** (-1.0 / a)
+        if not self._mass[-1] > 0:
+            raise ParameterError(f"radial_table carries no mass on the shell [{self.r1}, {self.r2})")
+        return np.interp(u * self._mass[-1], self._mass, self._fine)
+
+    def marks(self, n, rng):
+        """n marks, shape (n, dim): radii first, then directions."""
+        radii = self.radii(n, rng)
+        if self.model.dim == 1:
+            return (radii * np.where(rng.random(n) < 0.5, -1.0, 1.0))[:, None]
+        v = rng.standard_normal((n, self.model.dim))
+        return radii[:, None] * v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _sample_radii(model, size, rng):
-    """Radii from the normalized restriction of nu to {|z| >= R}."""
-    big_r = model.big_jump_radius
-    u = rng.random(size)
-    if model.kind == "isotropic_stable":
-        return big_r * u ** (-1.0 / model.alpha)
-    # piecewise-linear inverse CDF on the tabulated grid
-    grid = np.unique(np.concatenate([[big_r], model.radii[model.radii > big_r]]))
-    if len(grid) < 2:
-        grid = np.array([big_r, model.radii[-1]])
-    fine = np.linspace(grid[0], grid[-1], max(2, 64 * len(grid)))
-    mass = integrate.cumulative_trapezoid(model.radial_intensity(fine), fine, initial=0.0)
-    total = mass[-1]
-    if total <= 0:
-        raise ParameterError("radial_table carries no mass outside big_jump_radius")
-    return np.interp(u * total, mass, fine)
+class JumpTrain(Sequence):
+    """Large jumps as flat arrays, ordered by path and by time within a path.
+
+    Path i owns entries ``offsets[i]:offsets[i + 1]`` of ``times`` (n,) and
+    ``marks`` (n, dim); a train of one path indexes as ``JumpEvent``s.
+    """
+
+    def __init__(self, times, marks, offsets=None):
+        self.times, self.marks = times, marks
+        self.offsets = np.array([0, len(times)]) if offsets is None else offsets
+
+    def __len__(self):
+        return len(self.times)
+
+    def __getitem__(self, i):
+        return JumpEvent(float(self.times[i]), self.marks[i])
+
+    def windows(self, n_paths, window):
+        """Cut a train over [0, n_paths * window) into n_paths paths: path i owns
+        [i * window, (i + 1) * window), with local times clipped into [0, window)."""
+        path = np.minimum(self.times // window, n_paths - 1).astype(np.int64)
+        local = np.clip(self.times - path * window, 0.0, np.nextafter(window, 0.0))
+        return JumpTrain(local, self.marks, np.searchsorted(path, np.arange(n_paths + 1)))
 
 
 def sample_large_jumps(model, horizon, rng):
-    """Ordered large-jump events over [0, horizon].
+    """The large jumps over [0, horizon) as a one-path ``JumpTrain``.
 
     Arrival times are a Poisson process with rate nu(B_R^c); marks are i.i.d.
-    from the normalized restriction of nu to {|z| >= R}, radius by inverse
-    CDF and direction uniform on the sphere.
+    from the normalized restriction of nu to {|z| >= R}.
     """
     if horizon < 0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
-    rate = model.big_jump_rate()
-    if rate == 0.0 or horizon == 0.0:
-        return []
-    n = rng.poisson(rate * horizon)
+    sampler = model.large_jumps
+    n = rng.poisson(sampler.rate * horizon) if sampler.rate > 0.0 and horizon > 0.0 else 0
     if n == 0:
-        return []
+        return JumpTrain(np.empty(0), np.empty((0, model.dim)))
     times = np.sort(rng.uniform(0.0, horizon, n))
-    radii = _sample_radii(model, n, rng)
-    dirs = _uniform_directions(model.dim, n, rng)
-    return [JumpEvent(float(times[i]), radii[i] * dirs[i]) for i in range(n)]
+    return JumpTrain(times, sampler.marks(n, rng))
 
 
 def stable_increment_batch(model, t, n, rng):

@@ -6,7 +6,8 @@ Coefficient calling convention (vectorized over a batch of states):
   scalar diffusion); for dim>=2, x has shape (n, d) and sigma returns either
   (n,) (an isotropic multiple of the identity) or (n, d, d).
 - ``b(t, x)``, ``b1``, ``b2``: return the same shape as x.
-- ``g(t, x, z)``: z has the same shape as x; returns the same shape.
+- ``g(t, x, z)``: z has the same shape as x; returns the same shape.  At a
+  large-jump splice t holds each path's jump time, shaped to broadcast against x.
 
 Audits are grid-based certificates with worst-case witnesses, not proofs:
 they report falsifiability evidence for the declared constants.

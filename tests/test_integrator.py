@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from levylab.levy_noise import LevyModel
+from levylab.levy_noise import LevyModel, sample_large_jumps, tail_mass
 from levylab.integrator import (
     PathSample,
     StepConfig,
+    _Engine,
     _SmallJumpBand,
     path_to_csv,
     simulate_ensemble,
@@ -121,9 +122,10 @@ def test_ensemble_path0_matches_interlaced_stream0():
 
 
 def test_ensemble_bytes_reproducible_across_threads():
-    a = simulate_ensemble(OU, 0.0, 1.0, StepConfig(dt=1e-2), 40_000, 99, threads=1)
-    b = simulate_ensemble(OU, 0.0, 1.0, StepConfig(dt=1e-2), 40_000, 99, threads=4)
-    assert a.terminal.tobytes() == b.terminal.tobytes()
+    for p in (OU, PURE_JUMP):
+        a = simulate_ensemble(p, 0.0, 1.0, StepConfig(dt=1e-2), 40_000, 99, threads=1)
+        b = simulate_ensemble(p, 0.0, 1.0, StepConfig(dt=1e-2), 40_000, 99, threads=4)
+        assert a.terminal.tobytes() == b.terminal.tobytes()
 
 
 def test_weak_order_slope_via_coupled_exact_solution():
@@ -248,3 +250,56 @@ def test_non_odd_jumps_are_centred_by_the_compensator():
     ens = simulate_ensemble(non_odd(tab), 0.0, 0.5, StepConfig(dt=0.05), 20_000, 8)
     x = ens.terminal[:, 0]
     assert abs(np.mean(x)) < 4 * np.std(x) / np.sqrt(len(x))
+
+
+def test_splice_maps_jumps_to_their_paths_bitwise():
+    # g = z, no drift, no diffusion and no table mass in the band: X_T is each
+    # path's own marks of the chunk's train, added in time order
+    tab = LevyModel(kind="radial_table", dim=1, big_jump_radius=1.0, radii=[1.0, 3.0], densities=[10.0, 10.0])
+    p = problem_1d(g=lambda x, z: z + 0 * x, levy=tab)
+    n, horizon, dt, seed = 300, 1.0, 0.1, 4
+    ens = simulate_ensemble(p, 0.0, horizon, StepConfig(dt=dt), n, seed)
+    jrng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)).spawn(2)[1])
+    train = sample_large_jumps(tab, n * horizon, jrng)
+    owner = np.floor(train.times / horizon).astype(int)
+    expected = np.zeros(n)
+    for i, mark in zip(owner, train.marks[:, 0]):
+        expected[i] += mark
+    assert np.array_equal(ens.terminal[:, 0], expected)
+    # nu(B_R^c) = 40: many paths jump several times inside one base step
+    step = np.floor((train.times - owner * horizon) / dt).astype(int)
+    _, per_step = np.unique(owner * 100 + step, return_counts=True)
+    assert np.sum(per_step >= 3) >= 50
+
+
+def test_flat_band_draw_matches_closed_form_variance():
+    # one step of the band alone, g = x z from x0 in {1, 2}: the increment is a
+    # compound Poisson sum with variance x0^2 dt int_{eps<=|z|<R} z^2 nu(dz) and
+    # fourth cumulant x0^4 dt int z^4 nu(dz); a wrong owner would mix the groups
+    p = problem_1d(g=lambda x, z: x * z, levy=M15)
+    dt, n, eps = 0.05, 40_000, M15.big_jump_radius / 32.0
+    x0 = np.repeat([1.0, 2.0], n)[:, None]
+    res = _Engine(p, StepConfig(dt=dt)).run(x0, 0.0, dt, np.random.default_rng(3))
+    k2, k4 = dt * tail_mass(M15, eps, 1.0, 2.0), dt * tail_mass(M15, eps, 1.0, 4.0)
+    for scale, incr in ((1.0, res["X"][:n, 0] - 1.0), (2.0, res["X"][n:, 0] - 2.0)):
+        var, se = scale**2 * k2, scale**2 * np.sqrt((k4 + 2.0 * k2**2) / n)
+        assert abs(np.mean(incr**2) - var) < 4.0 * se
+        assert abs(np.mean(incr)) < 4.0 * np.sqrt(var / n)
+
+
+def test_jump_coefficient_calls_do_not_grow_with_path_count():
+    # the band and the splice each call g once per substep over all their
+    # paths; a per-path loop would make the count grow with the path count
+    def calls(n_paths):
+        p = preset("mixing_jump")
+        jump, count = p.jump, [0]
+
+        def counted(t, x, z):
+            count[0] += 1
+            return jump(t, x, z)
+
+        p.jump = counted
+        simulate_ensemble(p, 0.0, 1.0, StepConfig(dt=1e-2), n_paths, 5)
+        return count[0]
+
+    assert calls(4096) <= 2 * calls(64)

@@ -7,6 +7,7 @@ from scipy import integrate, special, stats
 from levylab.errors import DivergenceError, ParameterError
 from levylab.levy_noise import (
     LevyModel,
+    ShellSampler,
     levy_constant,
     sample_isotropic_stable,
     sample_large_jumps,
@@ -114,7 +115,7 @@ def test_radial_table_no_mass_outside_R_gives_no_jumps():
     tab = LevyModel(
         kind="radial_table", dim=1, big_jump_radius=1.0, radii=[0.1, 0.5, 0.9], densities=[1.0, 2.0, 1.0]
     )
-    assert sample_large_jumps(tab, 10.0, np.random.default_rng(0)) == []
+    assert len(sample_large_jumps(tab, 10.0, np.random.default_rng(0))) == 0
 
 
 def test_tail_mass_oracles():
@@ -213,3 +214,35 @@ def test_rule_refuses_divergent_ends():
 def test_levy_constant_against_quadrature(d, alpha):
     oracle = _symbol_oracle(d, alpha)
     assert abs(levy_constant(d, alpha) - oracle) < 1e-7 * oracle
+
+
+def test_windowed_train_has_the_poisson_law_on_every_path():
+    n_paths, window = 16384, 1.5
+    lam = 4.0 / 3.0 * window
+    train = sample_large_jumps(M15, n_paths * window, np.random.default_rng(11)).windows(n_paths, window)
+    counts = np.diff(train.offsets)
+    assert counts.sum() == len(train)
+    # Poisson(lam) per path: mean and variance both lam, within 4 SE
+    assert abs(counts.mean() - lam) < 4.0 * np.sqrt(lam / n_paths)
+    assert abs(counts.var() - lam) < 4.0 * np.sqrt((lam + 2.0 * lam**2) / n_paths)
+    # counts do not depend on the path index: equal totals over 16 index blocks
+    assert stats.chisquare(counts.reshape(16, -1).sum(axis=1)).pvalue > 1e-3
+    assert abs(np.corrcoef(counts, np.arange(n_paths))[0, 1]) < 4.0 / np.sqrt(n_paths)
+    assert np.all(np.abs(train.marks[:, 0]) >= 1.0)
+    path = np.repeat(np.arange(n_paths), counts)
+    assert np.all((train.times >= 0.0) & (train.times < window))
+    assert np.all(np.diff(train.times)[path[1:] == path[:-1]] >= 0.0)
+
+
+def test_shell_sampler_follows_the_table_on_each_shell():
+    tab = LevyModel(
+        kind="radial_table", dim=1, big_jump_radius=1.0, radii=[0.1, 0.5, 2.0, 4.0], densities=[3.0, 2.0, 1.0, 0.5]
+    )
+    assert tab.large_jumps is tab.large_jumps
+    rng = np.random.default_rng(6)
+    for r1, r2 in ((1.0 / 32.0, 1.0), (1.0, np.inf)):
+        r = ShellSampler(tab, r1, r2).radii(100_000, rng)
+        m0, m1, m2 = (tail_mass(tab, r1, r2, k) for k in (0.0, 1.0, 2.0))
+        se = np.sqrt((m2 / m0 - (m1 / m0) ** 2) / len(r))
+        assert abs(r.mean() - m1 / m0) < 4.0 * se
+        assert r.min() >= r1 and r.max() <= min(r2, 4.0)

@@ -9,16 +9,22 @@ fixed point, mirroring its lower-order role.
 
 The nonlocal operator splits the z-integral at delta = sqrt(h): below delta
 the exact second-order Taylor remainder collapses to u''(x)/2 times the
-second jump moment (``gamma_moment``, one call for all nodes); above delta
-the integrand u(x+g)-u(x)-g u'(x) is integrated directly with the
-nu-quadrature rule of ``levy_noise``, its panels halved until the value
-settles.
+second jump moment (``gamma_moment``, one call for all nodes, made once per
+solve since it does not depend on u); above delta the integrand
+u(x+g)-u(x)-g u'(x) is integrated directly with the nu-quadrature rule of
+``levy_noise``, its panels halved until the value settles.  Both solvers
+run the same lagged fixed-point sweeps (``_nonlocal_sweeps``).
+
+u is a node table with linear interpolation, so Phi = id + u is piecewise
+linear and Phi^-1 is one interpolation on the nodes (Phi(x_i), x_i),
+continued past the grid by the inverse edge slopes 1 / (1 + u'_edge).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import interpolate, sparse
@@ -31,7 +37,7 @@ from levylab.errors import (
     ParameterError,
 )
 from levylab.levy_noise import shell_rule
-from levylab.sde_model import SdeProblem, floor_away_from_zero, gamma_moment, problem_1d
+from levylab.sde_model import SdeProblem, floor_away_from_zero, gamma_moment
 
 __all__ = [
     "GridFunction",
@@ -78,28 +84,31 @@ class GridFunction:
     def h(self):
         return (self.hi - self.lo) / (self.n - 1)
 
-    @property
+    @cached_property
     def x(self):
         return np.linspace(self.lo, self.hi, self.n)
+
+    def edge_slopes(self):
+        """Slopes of the extension below lo and above hi."""
+        if self.extension == "constant":
+            return 0.0, 0.0
+        v = self.values
+        return (v[1] - v[0]) / self.h, (v[-1] - v[-2]) / self.h
 
     @classmethod
     def from_callable(cls, fn, lo, hi, n, extension="linear"):
         xs = np.linspace(lo, hi, n)
         return cls(lo, hi, n, np.asarray(fn(xs), dtype=float), extension)
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        inner = np.interp(x, self.x, self.values)
-        lo_slope = (self.values[1] - self.values[0]) / self.h
-        hi_slope = (self.values[-1] - self.values[-2]) / self.h
+    def _extend(self, x, inner):
+        # np.interp and the clipped spline already hold the edge values
         if self.extension == "constant":
             return inner
-        out = np.where(
-            x < self.lo,
-            self.values[0] + lo_slope * (x - self.lo),
-            np.where(x > self.hi, self.values[-1] + hi_slope * (x - self.hi), inner),
-        )
-        return out
+        return _edge_lines(x, inner, self.x, self.values, self.edge_slopes())
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return self._extend(x, np.interp(x, self.x, self.values))
 
     def stencil_derivatives(self):
         """(u', u'') at the nodes by central stencils (one-sided at edges)."""
@@ -116,32 +125,22 @@ class GridFunction:
     def sup(self):
         return float(np.max(np.abs(self.values)))
 
-    def cell_slope(self, x):
-        """Exact derivative of the piecewise-linear interpolant at x."""
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(((x - self.lo) / self.h).astype(int), 0, self.n - 2)
-        slopes = np.diff(self.values) / self.h
-        lo_slope = slopes[0] if self.extension == "linear" else 0.0
-        hi_slope = slopes[-1] if self.extension == "linear" else 0.0
-        out = slopes[idx]
-        return np.where(x < self.lo, lo_slope, np.where(x > self.hi, hi_slope, out))
-
+    @cached_property
     def _spline(self):
         # not-a-knot cubic: reproduces quadratics exactly for the nonlocal tests
-        if not hasattr(self, "_spline_cache"):
-            self._spline_cache = interpolate.CubicSpline(self.x, self.values, bc_type="not-a-knot")
-        return self._spline_cache
+        return interpolate.CubicSpline(self.x, self.values, bc_type="not-a-knot")
 
     def eval_smooth(self, x):
         """Cubic-spline interior evaluation, extension policy outside."""
         x = np.asarray(x, dtype=float)
-        out = np.asarray(self._spline()(np.clip(x, self.lo, self.hi)))
-        if self.extension == "linear":
-            lo_slope = (self.values[1] - self.values[0]) / self.h
-            hi_slope = (self.values[-1] - self.values[-2]) / self.h
-            out = np.where(x < self.lo, self.values[0] + lo_slope * (x - self.lo), out)
-            out = np.where(x > self.hi, self.values[-1] + hi_slope * (x - self.hi), out)
-        return out
+        return self._extend(x, np.asarray(self._spline(np.clip(x, self.lo, self.hi))))
+
+
+def _edge_lines(x, inner, xp, fp, slopes):
+    """``inner`` on [xp[0], xp[-1]], continued outside by the lines through
+    the end nodes of (xp, fp) with the given (low, high) slopes."""
+    out = np.where(x < xp[0], fp[0] + slopes[0] * (x - xp[0]), inner)
+    return np.where(x > xp[-1], fp[-1] + slopes[1] * (x - xp[-1]), out)
 
 
 def gridfunction_to_csv(gf, fileobj):
@@ -177,16 +176,21 @@ def _nonlocal_outer_on_points(u, p, xs, delta, tol=1e-6):
         rule = rule.refined()
 
 
-def _nonlocal_on_grid(u, p, xs, tol=1e-6):
-    """Small-jump generator L^g_{nu,R} u at the points xs."""
+def _inner_mass(p, xs, h):
+    """(delta, second jump moment over |z| < delta at xs); independent of u."""
+    delta = min(math.sqrt(h), p.levy.big_jump_radius)
+    return delta, gamma_moment(p, xs, 0, 2.0, 0.0, delta)
+
+
+def _nonlocal_on_grid(u, p, xs, tol=1e-6, inner=None):
+    """Small-jump generator L^g_{nu,R} u at the points xs; ``inner`` is
+    ``_inner_mass(p, xs, u.h)``, computed here when not given."""
     if not p.has_jumps:
         return np.zeros_like(xs)
-    delta = min(math.sqrt(u.h), p.levy.big_jump_radius)
+    delta, mass = _inner_mass(p, xs, u.h) if inner is None else inner
     _, d2 = u.stencil_derivatives()
     d2_x = np.interp(xs, u.x, d2)
-    inner = 0.5 * d2_x * gamma_moment(p, xs, 0, 2.0, 0.0, delta)
-    outer = _nonlocal_outer_on_points(u, p, xs, delta, tol=tol)
-    return inner + outer
+    return 0.5 * d2_x * mass + _nonlocal_outer_on_points(u, p, xs, delta, tol=tol)
 
 
 def apply_nonlocal(u, p, x, tol=1e-6):
@@ -214,10 +218,6 @@ class SpaceTimeSolution:
     times: np.ndarray
     grid: GridFunction
     values: np.ndarray  # (len(times), n)
-
-    def at_time(self, t):
-        k = int(np.argmin(np.abs(self.times - t)))
-        return GridFunction(self.grid.lo, self.grid.hi, self.grid.n, self.values[k], self.grid.extension)
 
 
 @dataclass
@@ -278,18 +278,48 @@ def cell_average(fn, xs):
 
 
 def _elliptic_coeffs(p, xs, t=0.0, drift="b1"):
+    if drift not in ("b1", "full"):
+        raise ParameterError(f"drift must be 'b1' or 'full', got {drift!r}")
     sig = np.asarray(p.sigma_eval(t, xs), dtype=float)
     if sig.ndim == 0:
         sig = np.full_like(xs, float(sig))
     a = 0.5 * sig**2
-    if drift == "b1":
-        bfun = p.b1
-    elif drift == "full":
-        bfun = (lambda tt, xv: p.b(tt, xv))
-    else:
-        bfun = None
+    bfun = p.b1 if drift == "b1" else p.b
     bv = np.zeros_like(xs) if bfun is None else cell_average(lambda xv: bfun(t, xv), xs)
     return a, bv
+
+
+def _nonlocal_sweeps(p, grid, lam, nonlocal_tol, sweep_tol, max_sweeps):
+    """``run(lu, base, edge, guess, where)`` -> (u, last update, sweeps): solve
+    ``lu u = base + L^g guess`` (Dirichlet rows ``edge``) with the nonlocal
+    term lagged until the update falls below ``sweep_tol``.  The inner mass
+    is computed once, for all runs.
+    """
+    lo, hi, n = grid
+    xs = np.linspace(lo, hi, n)
+    inner = _inner_mass(p, xs, (hi - lo) / (n - 1)) if p.has_jumps else None
+
+    def run(lu, base, edge, guess, where):
+        residual_first = None
+        for sweep in range(max_sweeps):
+            nl = _nonlocal_on_grid(GridFunction(lo, hi, n, guess), p, xs, nonlocal_tol, inner)
+            rhs = base + nl
+            rhs[0], rhs[-1] = edge
+            new = lu.solve(rhs)
+            residual = float(np.max(np.abs(new - guess)))
+            guess = new
+            if residual < sweep_tol or not p.has_jumps:
+                break
+            if residual_first is None:
+                residual_first = residual
+            elif sweep == max_sweeps - 1 and residual > residual_first:
+                raise NonConvergenceError(
+                    f"nonlocal sweeps diverge {where} (residual {residual:.3e}); raise lambda",
+                    lam=lam,
+                )
+        return guess, residual, sweep + 1
+
+    return run
 
 
 def solve_backward_pide(
@@ -314,10 +344,7 @@ def solve_backward_pide(
     """
     lo, hi, n = grid
     xs = np.linspace(lo, hi, n)
-    if callable(terminal):
-        v = np.asarray(terminal(xs), dtype=float)
-    else:
-        v = np.broadcast_to(np.asarray(terminal, dtype=float), xs.shape).copy().astype(float)
+    v = np.broadcast_to(terminal(xs) if callable(terminal) else terminal, xs.shape).astype(float)
     forcing = _coerce_forcing(f, xs)
     n_steps = int(math.ceil(horizon / dt - 1e-12))
     times = np.linspace(0.0, horizon, n_steps + 1)
@@ -325,37 +352,19 @@ def solve_backward_pide(
     values[-1] = v
     edge = (v[0], v[-1])
 
-    a, bv = _elliptic_coeffs(p, xs, t=horizon, drift="full")
-    lu = None
+    lu_step = dt  # the step the factorised matrix was built for
     if p.time_homogeneous:
-        mat = _local_matrix(a, bv, lam + 1.0 / dt, xs)
-        lu = splu(mat)
+        a, bv = _elliptic_coeffs(p, xs, t=horizon, drift="full")
+        lu = splu(_local_matrix(a, bv, lam + 1.0 / dt, xs))
+    sweeps = _nonlocal_sweeps(p, grid, lam, nonlocal_tol, sweep_tol, max_sweeps)
 
     for k in range(n_steps - 1, -1, -1):
         t = times[k]
         step = times[k + 1] - times[k]
-        if not p.time_homogeneous or lu is None or abs(step - dt) > 1e-14:
+        if not p.time_homogeneous or abs(step - lu_step) > 1e-14:
             a, bv = _elliptic_coeffs(p, xs, t=t, drift="full")
-            lu = splu(_local_matrix(a, bv, lam + 1.0 / step, xs))
-        fvec = forcing(t)
-        guess = v.copy()
-        residual_first = None
-        for sweep in range(max_sweeps):
-            nl = _nonlocal_on_grid(GridFunction(lo, hi, n, guess), p, xs, tol=nonlocal_tol)
-            rhs = v / step - fvec + nl
-            rhs[0], rhs[-1] = edge
-            new = lu.solve(rhs)
-            res = float(np.max(np.abs(new - guess)))
-            guess = new
-            if res < sweep_tol or not p.has_jumps:
-                break
-            if residual_first is None:
-                residual_first = res
-            elif sweep == max_sweeps - 1 and res > residual_first:
-                raise NonConvergenceError(
-                    f"nonlocal sweeps diverge at t={t} (residual {res:.3e}); raise lambda", lam=lam
-                )
-        v = guess
+            lu, lu_step = splu(_local_matrix(a, bv, lam + 1.0 / step, xs)), step
+        v, _, _ = sweeps(lu, v / step - forcing(t), edge, v, f"at t={t}")
         values[k] = v
 
     return SpaceTimeSolution(times=times, grid=GridFunction(lo, hi, n, values[0]), values=values)
@@ -370,34 +379,18 @@ def solve_elliptic(p, f, lam, grid, drift="b1", nonlocal_tol=1e-6, sweep_tol=1e-
     lo, hi, n = grid
     xs = np.linspace(lo, hi, n)
     a, bv = _elliptic_coeffs(p, xs, drift=drift)
-    forcing = _coerce_forcing(f, xs)(0.0)
     lu = splu(_local_matrix(a, bv, lam, xs))
-    guess = np.zeros(n)
-    residual = np.inf
-    residual_first = None
-    for sweep in range(max_sweeps):
-        nl = _nonlocal_on_grid(GridFunction(lo, hi, n, guess), p, xs, tol=nonlocal_tol)
-        rhs = nl - forcing
-        rhs[0], rhs[-1] = 0.0, 0.0
-        new = lu.solve(rhs)
-        residual = float(np.max(np.abs(new - guess)))
-        guess = new
-        if residual < sweep_tol or not p.has_jumps:
-            break
-        if residual_first is None:
-            residual_first = residual
-        elif sweep == max_sweeps - 1 and residual > residual_first:
-            raise NonConvergenceError(
-                f"elliptic nonlocal sweeps diverge (residual {residual:.3e}); raise lambda",
-                lam=lam,
-            )
+    sweeps = _nonlocal_sweeps(p, grid, lam, nonlocal_tol, sweep_tol, max_sweeps)
+    guess, residual, count = sweeps(
+        lu, -_coerce_forcing(f, xs)(0.0), (0.0, 0.0), np.zeros(n), "in the elliptic solve"
+    )
     u = GridFunction(lo, hi, n, guess)
     return EllipticSolution(
         u=u,
         lam=lam,
         sup_u=u.sup(),
         sup_grad=u.grad_max(),
-        sweeps=sweep + 1,
+        sweeps=count,
         residual=residual,
     )
 
@@ -408,7 +401,7 @@ def solve_elliptic(p, f, lam, grid, drift="b1", nonlocal_tol=1e-6, sweep_tol=1e-
 
 @dataclass
 class ZvonkinMap:
-    """Phi(x) = x + u(x) with a monotone-interpolated, Newton-polished inverse."""
+    """Phi(x) = x + u(x), piecewise linear like u, with its exact inverse."""
 
     u: GridFunction
     lam: float
@@ -416,10 +409,12 @@ class ZvonkinMap:
     sup_grad: float
 
     def __post_init__(self):
-        phi_nodes = self.u.x + self.u.values
-        if np.any(np.diff(phi_nodes) <= 0):
+        # strictly increasing node values make (Phi(x_i), x_i) a valid table
+        # for the inverse, and every edge slope 1 + u'_edge positive
+        self._phi_nodes = self.u.x + self.u.values
+        if np.any(np.diff(self._phi_nodes) <= 0):
             raise ContractionError("Phi is not strictly increasing on the grid")
-        self._inv_init = interpolate.PchipInterpolator(phi_nodes, self.u.x, extrapolate=True)
+        self._inv_edge_slopes = tuple(1.0 / (1.0 + s) for s in self.u.edge_slopes())
         du, _ = self.u.stencil_derivatives()
         self._du_nodes = du
 
@@ -434,12 +429,8 @@ class ZvonkinMap:
 
     def phi_inverse(self, y):
         y = np.asarray(y, dtype=float)
-        x = np.asarray(self._inv_init(y), dtype=float)
-        # Newton against the piecewise-linear Phi with its exact cell slope:
-        # lands on the containing cell and is then exact
-        for _ in range(4):
-            x = x - (self.phi(x) - y) / (1.0 + self.u.cell_slope(x))
-        return x
+        ys, xs = self._phi_nodes, self.u.x
+        return _edge_lines(y, np.interp(y, ys, xs), ys, xs, self._inv_edge_slopes)
 
     def diagnostics(self):
         return {
@@ -475,7 +466,8 @@ def build_zvonkin(p, lam=None, grid=None, lam_start=10.0, lam_cap=2.0**20):
     if not p.time_homogeneous:
         raise ParameterError("build_zvonkin needs a time-homogeneous problem")
     if p.b1 is None:
-        u = GridFunction(-10.0 if grid is None else grid[0], 10.0 if grid is None else grid[1], 5 if grid is None else grid[2], np.zeros(5 if grid is None else grid[2]))
+        lo, hi, n = (-10.0, 10.0, 5) if grid is None else grid
+        u = GridFunction(lo, hi, n, np.zeros(n))
         zmap = ZvonkinMap(u=u, lam=lam or lam_start, sup_u=0.0, sup_grad=0.0)
         return zmap, _transformed_problem(p, zmap)
     if grid is None:

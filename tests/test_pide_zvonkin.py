@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from levylab import pide_zvonkin
 from levylab.errors import ContractionError, ExtrapolationError, NonConvergenceError, ParameterError
 from levylab.levy_noise import LevyModel
 from levylab.pide_zvonkin import (
@@ -18,6 +19,13 @@ from levylab.sde_model import SdeProblem, audit_dissipativity, preset, problem_1
 M15 = LevyModel(alpha=1.5, dim=1, big_jump_radius=1.0)
 BM2 = problem_1d(sigma=lambda x: np.sqrt(2.0) * np.ones_like(x))  # a = 1
 JUMP_ID = problem_1d(g=lambda x, z: z + 0 * x, levy=M15)
+SMALL_JUMPS = problem_1d(  # a = 1 plus g = 0.3 z
+    sigma=lambda x: np.sqrt(2.0) * np.ones_like(x),
+    g=lambda x, z: 0.3 * z + 0 * x,
+    levy=M15,
+    sigma_bar=lambda x: 0.3 * np.ones_like(x),
+)
+GAUSS_BUMP = lambda t, xs: -np.exp(-(xs**2))
 
 
 class TestGridFunction:
@@ -87,6 +95,46 @@ class TestBackwardPide:
         order2 = np.log2(errs[201] / errs[401])
         assert order1 >= 1.8 and order2 >= 1.8
 
+    def test_one_factorisation_when_dt_does_not_divide_horizon(self, monkeypatch):
+        # the time grid's uniform step is horizon / ceil(horizon / dt) = 0.25
+        factorised = []
+        real = pide_zvonkin.splu
+
+        def counted(mat):
+            factorised.append(mat)
+            return real(mat)
+
+        monkeypatch.setattr(pide_zvonkin, "splu", counted)
+        sol = solve_backward_pide(BM2, 1.0, 1.0, 1.0, (-5, 5, 101), dt=0.3)
+        assert len(sol.times) == 5
+        assert len(factorised) == 2  # the dt = 0.3 matrix, then the 0.25 one
+
+    def test_jumps_reach_the_elliptic_steady_state(self):
+        # at horizon 6 the transient e^{-lam T} (implicit: 1.3^-60) is gone,
+        # and both solvers solve the same discrete resolvent equation
+        grid = (-10, 10, 201)
+        sol = solve_backward_pide(SMALL_JUMPS, GAUSS_BUMP, 3.0, 6.0, grid, dt=0.1)
+        ell = solve_elliptic(SMALL_JUMPS, GAUSS_BUMP, 3.0, grid)
+        assert ell.sweeps > 1
+        assert np.max(np.abs(sol.values[0] - ell.u.values)) < 1e-6
+
+
+def test_inner_jump_mass_computed_once_per_solve(monkeypatch):
+    calls = []
+    real = pide_zvonkin.gamma_moment
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pide_zvonkin, "gamma_moment", counted)
+    grid = (-10, 10, 101)
+    ell = solve_elliptic(SMALL_JUMPS, GAUSS_BUMP, 3.0, grid)
+    assert ell.sweeps > 1 and len(calls) == 1
+    calls.clear()
+    sol = solve_backward_pide(SMALL_JUMPS, GAUSS_BUMP, 3.0, 1.0, grid, dt=0.1)
+    assert len(sol.times) == 11 and len(calls) == 1
+
 
 class TestElliptic:
     def test_zero_forcing(self):
@@ -119,6 +167,11 @@ class TestElliptic:
             s = solve_elliptic(p, f, 2.0, (-8, 8, 401), drift="full")
             assert np.all(s.u.values >= -1e-12)
 
+    def test_unknown_drift_part_is_refused(self):
+        p = problem_1d(sigma=lambda x: np.ones_like(x), b2=lambda x: -x)
+        with pytest.raises(ParameterError, match="b2"):
+            solve_elliptic(p, 1.0, 1.0, (-5, 5, 51), drift="b2")
+
     def test_elliptic_grid_refinement_second_order(self):
         # manufactured: u = exp(-x^2), f = (a u'' + b u' - lam u)
         a_val, lam = 1.0, 2.0
@@ -136,14 +189,7 @@ class TestElliptic:
         assert errs[401] < 0.6 * errs[201] and errs[801] < 0.6 * errs[401]
 
     def test_nonlocal_elliptic_solution_satisfies_residual(self):
-        p = problem_1d(
-            sigma=lambda x: np.sqrt(2.0) * np.ones_like(x),
-            g=lambda x, z: 0.3 * z + 0 * x,
-            levy=M15,
-            sigma_bar=lambda x: 0.3 * np.ones_like(x),
-        )
-        lam = 3.0
-        f = lambda t, xs: -np.exp(-(xs**2))
+        p, lam, f = SMALL_JUMPS, 3.0, GAUSS_BUMP
         s = solve_elliptic(p, f, lam, (-10, 10, 401))
         # residual of (a d2 - lam) u + NL u - f at interior nodes
         from levylab.pide_zvonkin import _nonlocal_on_grid
@@ -170,10 +216,12 @@ class TestZvonkin:
         zmap, _ = build_zvonkin(preset("ou_singular"), grid=(-10, 10, 4001))
         rng = np.random.default_rng(0)
         pts = rng.uniform(-9, 9, 10_000)
-        assert np.max(np.abs(zmap.phi(zmap.phi_inverse(pts)) - pts)) < 1e-7
-        assert np.max(np.abs(zmap.phi_inverse(zmap.phi(pts)) - pts)) < 1e-7
+        beyond = np.concatenate([rng.uniform(-14, -10, 1000), rng.uniform(10, 14, 1000)])
+        for ys in (pts, beyond):
+            assert np.max(np.abs(zmap.phi(zmap.phi_inverse(ys)) - ys)) < 1e-12
+            assert np.max(np.abs(zmap.phi_inverse(zmap.phi(ys)) - ys)) < 1e-12
         nodes = zmap.u.x
-        assert np.max(np.abs(zmap.phi_inverse(zmap.phi(nodes)) - nodes)) < 1e-8
+        assert np.max(np.abs(zmap.phi_inverse(zmap.phi(nodes)) - nodes)) < 1e-12
 
     def test_u_solves_resolvent_with_singular_drift_as_source(self):
         # (lam - L) u = b1 makes u share the sign of the kick b1; the
@@ -222,7 +270,15 @@ class TestZvonkin:
         assert zmap.lam == 40.0
         assert zmap.sup_u + zmap.sup_grad <= 0.5
 
-    def test_nonconvergence_reports_lambda(self):
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda p, f, grid: solve_elliptic(p, f, 1e-4, grid, max_sweeps=8),
+            lambda p, f, grid: solve_backward_pide(p, f, 1e-4, 10.0, grid, dt=10.0, max_sweeps=8),
+        ],
+        ids=["elliptic", "backward"],
+    )
+    def test_nonconvergence_reports_lambda(self, solve):
         # a fat jump coefficient at tiny lambda cannot contract
         p = problem_1d(
             sigma=lambda x: 0.05 * np.ones_like(x),
@@ -231,5 +287,5 @@ class TestZvonkin:
             sigma_bar=lambda x: 3.0 * np.ones_like(x),
         )
         with pytest.raises(NonConvergenceError) as err:
-            solve_elliptic(p, lambda t, xs: np.sin(xs), 1e-4, (-6, 6, 301), max_sweeps=8)
+            solve(p, lambda t, xs: np.sin(xs), (-6, 6, 301))
         assert err.value.lam == 1e-4

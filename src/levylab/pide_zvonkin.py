@@ -16,8 +16,13 @@ u(x+g)-u(x)-g u'(x) is integrated directly with the nu-quadrature rule of
 run the same lagged fixed-point sweeps (``_nonlocal_sweeps``).
 
 u is a node table with linear interpolation, so Phi = id + u is piecewise
-linear and Phi^-1 is one interpolation on the nodes (Phi(x_i), x_i),
+linear and Phi^-1 is the interpolation on the nodes (Phi(x_i), x_i),
 continued past the grid by the inverse edge slopes 1 / (1 + u'_edge).
+``ZvonkinMap`` locates y in that table without a search (equal y-buckets,
+about two per cell, then at most a fixed number of comparisons) and reads
+Phi^-1(y), u and Phi' from the one located cell: the transformed
+coefficients sigma~ and b~ cost one locate per call, and no binary search
+over the unsorted states of an ensemble.
 """
 
 from __future__ import annotations
@@ -239,14 +244,9 @@ def _local_matrix(a, b, lam, xs):
     diag = lam + 2.0 * a / h**2 + (bp - bm) / h
     upper = -(a / h**2 + bp / h)
     lower = -(a / h**2 - bm / h)
-    mat = sparse.diags(
-        [lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], shape=(n, n), format="lil"
-    )
-    mat[0, :] = 0.0
-    mat[0, 0] = 1.0
-    mat[-1, :] = 0.0
-    mat[-1, -1] = 1.0
-    return sparse.csc_matrix(mat)
+    diag[0] = diag[-1] = 1.0
+    upper[0] = lower[-1] = 0.0
+    return sparse.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], shape=(n, n), format="csc")
 
 
 def _coerce_forcing(f, xs):
@@ -401,7 +401,16 @@ def solve_elliptic(p, f, lam, grid, drift="b1", nonlocal_tol=1e-6, sweep_tol=1e-
 
 @dataclass
 class ZvonkinMap:
-    """Phi(x) = x + u(x), piecewise linear like u, with its exact inverse."""
+    """Phi(x) = x + u(x), piecewise linear like u, with its exact inverse.
+
+    Points y are located in the node table (Phi(x_i), x_i) without a search:
+    cell c of y is the number of nodes Phi(x_i) <= y, 0 below the table and n
+    at or above its top node; the two outer cells carry the edge lines.
+    About two equal y-buckets per cell each store the first cell they meet,
+    and a query steps up from there by comparison, at most ``k_max - 1``
+    times, k_max being the most cells one bucket meets (2 for a map whose
+    cells keep Phi' >= 1/2; see DECISIONS.md).
+    """
 
     u: GridFunction
     lam: float
@@ -411,12 +420,53 @@ class ZvonkinMap:
     def __post_init__(self):
         # strictly increasing node values make (Phi(x_i), x_i) a valid table
         # for the inverse, and every edge slope 1 + u'_edge positive
-        self._phi_nodes = self.u.x + self.u.values
-        if np.any(np.diff(self._phi_nodes) <= 0):
+        xs, v = self.u.x, self.u.values
+        ys = xs + v
+        if np.any(np.diff(ys) <= 0):
             raise ContractionError("Phi is not strictly increasing on the grid")
-        self._inv_edge_slopes = tuple(1.0 / (1.0 + s) for s in self.u.edge_slopes())
         du, _ = self.u.stencil_derivatives()
         self._du_nodes = du
+
+        # one row per cell: its anchor node (Phi(x_j), x_j, u_j, u'_j) and the
+        # slopes of x, u and u' beyond it, np.interp's slopes inside the table
+        # and the edge lines outside
+        n, dx = len(xs), np.diff(xs)
+        anchor = np.concatenate(([0], np.arange(n)))
+        u_lo, u_hi = self.u.edge_slopes()
+        self._cells = np.column_stack(
+            [
+                ys[anchor],
+                xs[anchor],
+                v[anchor],
+                du[anchor],
+                np.concatenate(([1.0 / (1.0 + u_lo)], dx / np.diff(ys), [1.0 / (1.0 + u_hi)])),
+                np.concatenate(([u_lo], np.diff(v) / dx, [u_hi])),
+                np.concatenate(([0.0], np.diff(du) / dx, [0.0])),
+            ]
+        )
+
+        m = 2 * (n - 1)
+        self._bucket_lo, self._bucket_top = ys[0], float(m - 1)
+        self._bucket_scale = m / (ys[-1] - ys[0])
+        # bucket k starts at the count of nodes in lower buckets: the bucket
+        # index is monotone in y, so those nodes all lie below any y in k
+        first = np.searchsorted(self._bucket(ys), np.arange(m + 1))
+        self._bucket_cell = first[:-1]
+        self.k_max = int(np.max(np.diff(first))) + 1
+        # NaN compares false, so the count stops at n, for y = +inf as well
+        self._next_node = np.append(ys, np.nan)
+
+    def _bucket(self, y):
+        # fmax / fmin send NaN to bucket 0 and clamp +-inf, so the cast never warns
+        t = (y - self._bucket_lo) * self._bucket_scale
+        return np.fmin(np.fmax(t, 0.0), self._bucket_top).astype(np.intp)
+
+    def _read(self, y):
+        """The columns of the cell rows of y (y an array of floats)."""
+        c = self._bucket_cell.take(self._bucket(y))
+        for _ in range(self.k_max - 1):
+            c += y >= self._next_node.take(c)
+        return np.moveaxis(self._cells.take(c, axis=0), -1, 0)
 
     def phi(self, x):
         x = np.asarray(x, dtype=float)
@@ -428,9 +478,25 @@ class ZvonkinMap:
         return 1.0 + np.interp(x, self.u.x, self._du_nodes)
 
     def phi_inverse(self, y):
+        """Phi^-1(y), bit for bit np.interp(y, Phi(x_i), x_i) inside the table
+        and the lines of slope 1 / (1 + u'_edge) through the end nodes outside."""
         y = np.asarray(y, dtype=float)
-        ys, xs = self._phi_nodes, self.u.x
-        return _edge_lines(y, np.interp(y, ys, xs), ys, xs, self._inv_edge_slopes)
+        ya, xa, _, _, sx, _, _ = self._read(y)
+        return sx * (y - ya) + xa
+
+    def _pull_back(self, y):
+        """(x, u(x), Phi'(x)) at x = Phi^-1(y), all read from the cell of y:
+        x is ``phi_inverse(y)`` bit for bit, u(x) and Phi'(x) agree with
+        ``u`` and ``grad_phi`` up to rounding."""
+        y = np.asarray(y, dtype=float)
+        ya, xa, ua, dua, sx, su, sdu = self._read(y)
+        x = sx * (y - ya) + xa
+        dx = x - xa
+        # Phi' is constant beyond the grid; the clip, far outside every inner
+        # cell, keeps 0 * inf out of the outer ones
+        span = self.u.hi - self.u.lo
+        grad = 1.0 + (sdu * np.clip(dx, -span, span) + dua)
+        return x, su * dx + ua, grad
 
     def diagnostics(self):
         return {
@@ -512,13 +578,13 @@ def _transformed_problem(p, zmap):
     lam = zmap.lam
 
     def sigma_t(t, y):
-        x = zmap.phi_inverse(y)
-        return zmap.grad_phi(x) * np.asarray(p.sigma_eval(t, x), dtype=float)
+        x, _, grad = zmap._pull_back(y)
+        return grad * np.asarray(p.sigma_eval(t, x), dtype=float)
 
     def b_t(t, y):
-        x = zmap.phi_inverse(y)
+        x, u, grad = zmap._pull_back(y)
         b2 = 0.0 if p.b2 is None else np.asarray(p.b2(t, x), dtype=float)
-        return lam * zmap.u(x) + zmap.grad_phi(x) * b2
+        return lam * u + grad * b2
 
     jump_t = None
     if p.jump is not None:

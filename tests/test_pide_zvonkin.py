@@ -26,6 +26,16 @@ SMALL_JUMPS = problem_1d(  # a = 1 plus g = 0.3 z
     sigma_bar=lambda x: 0.3 * np.ones_like(x),
 )
 GAUSS_BUMP = lambda t, xs: -np.exp(-(xs**2))
+# the paper's main setting: singular drift plus multiplicative 1.5-stable jumps
+_MAIN_SIGMA_BAR = lambda t, x: 0.5 * np.sqrt(np.abs(x))
+MAIN = SdeProblem(
+    sigma=lambda t, x: np.ones_like(x),
+    b1=preset("ou_singular").b1,
+    b2=lambda t, x: -x,
+    jump=lambda t, x, z: _MAIN_SIGMA_BAR(t, x) * z,
+    sigma_bar=_MAIN_SIGMA_BAR,
+    levy=M15,
+)
 
 
 class TestGridFunction:
@@ -252,21 +262,12 @@ class TestZvonkin:
         assert rep.passed
 
     def test_lambda_search_steps_past_divergent_sweeps(self):
-        # the paper's main setting: singular drift plus multiplicative 1.5-stable
-        # jumps; the sweeps diverge at lambda = 10 and 20 and contract at 40
-        sigma_bar = lambda t, x: 0.5 * np.sqrt(np.abs(x))
-        p = SdeProblem(
-            sigma=lambda t, x: np.ones_like(x),
-            b1=preset("ou_singular").b1,
-            b2=lambda t, x: -x,
-            jump=lambda t, x, z: sigma_bar(t, x) * z,
-            sigma_bar=sigma_bar,
-            levy=M15,
-        )
+        # in the main setting the sweeps diverge at lambda = 10 and 20 and
+        # contract at 40
         grid = (-10.0, 10.0, 51)
         with pytest.raises(NonConvergenceError):
-            build_zvonkin(p, lam=20.0, grid=grid)
-        zmap, _ = build_zvonkin(p, grid=grid)
+            build_zvonkin(MAIN, lam=20.0, grid=grid)
+        zmap, _ = build_zvonkin(MAIN, grid=grid)
         assert zmap.lam == 40.0
         assert zmap.sup_u + zmap.sup_grad <= 0.5
 
@@ -289,3 +290,112 @@ class TestZvonkin:
         with pytest.raises(NonConvergenceError) as err:
             solve(p, lambda t, xs: np.sin(xs), (-6, 6, 301))
         assert err.value.lam == 1e-4
+
+
+def test_local_matrix_is_csc_with_dirichlet_rows():
+    n, lam = 9, 2.0
+    xs = np.linspace(-1.0, 2.0, n)
+    h = xs[1] - xs[0]
+    a, b = 0.5 + xs**2, np.sin(3.0 * xs)  # b takes both signs: both upwind branches
+    ref = np.zeros((n, n))
+    for i in range(1, n - 1):
+        ref[i, i - 1] = -(a[i] / h**2 - min(b[i], 0.0) / h)
+        ref[i, i] = lam + 2.0 * a[i] / h**2 + abs(b[i]) / h
+        ref[i, i + 1] = -(a[i] / h**2 + max(b[i], 0.0) / h)
+    ref[0, 0] = ref[-1, -1] = 1.0
+    mat = pide_zvonkin._local_matrix(a, b, lam, xs)
+    assert mat.format == "csc"
+    assert mat.nnz == 3 * n - 4  # no explicit zeros stored in the Dirichlet rows
+    np.testing.assert_allclose(mat.toarray(), ref, rtol=1e-15, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the cell locate of ZvonkinMap against np.interp on the node table
+
+
+def _hand_built_map():
+    # one Phi cell 1e-9 wide: a near-degenerate cell puts two nodes in one bucket
+    n = 101
+    xs = np.linspace(-10.0, 10.0, n)
+    values = np.where(np.arange(n) > 50, -(xs[1] - xs[0]) + 1e-9, 0.0)
+    return pide_zvonkin.ZvonkinMap(GridFunction(-10.0, 10.0, n, values), lam=1.0, sup_u=0.2, sup_grad=1.0)
+
+
+@pytest.fixture(scope="module")
+def zmaps():
+    ou, q_ou = build_zvonkin(preset("ou_singular"), grid=(-10, 10, 4001))
+    main, q_main = build_zvonkin(MAIN, lam=160.0, grid=(-10, 10, 101))
+    return {"ou_singular": (ou, q_ou), "main": (main, q_main), "hand_built": (_hand_built_map(), None)}
+
+
+def _interp_inverse(zmap, y):
+    """np.interp on (Phi(x_i), x_i) continued by the lines through the end nodes."""
+    xs = zmap.u.x
+    ys = xs + zmap.u.values
+    lo, hi = (1.0 / (1.0 + s) for s in zmap.u.edge_slopes())
+    out = np.where(y < ys[0], xs[0] + lo * (y - ys[0]), np.interp(y, ys, xs))
+    return np.where(y > ys[-1], xs[-1] + hi * (y - ys[-1]), out)
+
+
+def _probe_points(zmap, n_random, seed=0):
+    ys = zmap.u.x + zmap.u.values
+    rng = np.random.default_rng(seed)
+    random = rng.uniform(ys[0] - 4.0, ys[-1] + 4.0, n_random)
+    return np.concatenate([random, ys, np.nextafter(ys, -np.inf), np.nextafter(ys, np.inf)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["ou_singular", "main", "hand_built"])
+def test_phi_inverse_is_interp_bit_for_bit(zmaps, name):
+    zmap, _ = zmaps[name]
+    # non-finite states too: on the hand-built map +inf walks past the top node
+    y = np.concatenate([_probe_points(zmap, 100_000), [np.nan, np.inf, -np.inf]])
+    np.testing.assert_array_equal(zmap.phi_inverse(y), _interp_inverse(zmap, y))
+    # the map's shapes pass through: a (rows, cols) block of states
+    block = y[:1000].reshape(100, 10)
+    np.testing.assert_array_equal(zmap.phi_inverse(block), _interp_inverse(zmap, block))
+    # maps that keep Phi' >= 1/2 meet at most two cells per bucket, the
+    # near-degenerate cell three
+    assert zmap.k_max == (3 if name == "hand_built" else 2)
+
+
+@pytest.mark.parametrize("name", ["ou_singular", "main"])
+def test_transformed_coefficients_match_the_composition(zmaps, name):
+    zmap, q = zmaps[name]
+    p = preset("ou_singular") if name == "ou_singular" else MAIN
+    y = _probe_points(zmap, 100_000, seed=1)
+    x = _interp_inverse(zmap, y)
+    grad = zmap.grad_phi(x)
+    sigma = grad * p.sigma_eval(0.0, x)
+    b = zmap.lam * zmap.u(x) + grad * p.b2(0.0, x)
+    np.testing.assert_allclose(q.sigma(0.0, y), sigma, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(q.b2(0.0, y), b, rtol=0.0, atol=1e-13)
+    if p.jump is not None:
+        z = np.random.default_rng(2).uniform(-1.0, 1.0, y.shape)
+        g = zmap.phi(x + p.g(0.0, x, z)) - y
+        np.testing.assert_allclose(q.g(0.0, y, z), g, rtol=0.0, atol=1e-13)
+
+
+def test_transformed_coefficients_make_no_interp_call(zmaps, monkeypatch):
+    _, q = zmaps["ou_singular"]
+    y = np.random.default_rng(3).uniform(-9.0, 9.0, 8192)
+    calls = []
+    interp = np.interp
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return interp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counted)
+    q.sigma(0.0, y)
+    q.b2(0.0, y)
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_states_pass_through_without_warnings():
+    zmap, q = build_zvonkin(preset("ou_singular"), grid=(-10, 10, 401))
+    y = np.array([np.nan, np.inf, -np.inf])
+    np.testing.assert_array_equal(zmap.phi_inverse(y), [np.nan, np.inf, -np.inf])
+    np.testing.assert_array_equal(q.b2(0.0, y), [np.nan, -np.inf, np.inf])
+    np.testing.assert_array_equal(q.sigma(0.0, y), [np.nan, np.sqrt(2.0), np.sqrt(2.0)])

@@ -21,14 +21,6 @@ class ExtrapolationError(LevyLabError, ValueError):
     """A grid function was evaluated too far outside its domain."""
 
 
-class NonConvergenceError(LevyLabError, RuntimeError):
-    """Fixed-point sweeps failed to contract; carries the resolvent parameter."""
-
-    def __init__(self, message, lam=None):
-        super().__init__(message)
-        self.lam = lam
-
-
 class ContractionError(LevyLabError, RuntimeError):
     """The drift-removing map violates the 1/2 contraction condition."""
 

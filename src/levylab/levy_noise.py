@@ -345,13 +345,6 @@ class ShellRule:
             radii, weights = np.concatenate([radii, -radii]), np.concatenate([weights, weights]) / 2.0
         self.nodes, self.weights = radii, weights
 
-    def refined(self):
-        """The same shell with every panel halved (in log scale where it can)."""
-        lo, hi = self.edges[:-1], self.edges[1:]
-        mid = np.where(lo > 0, np.sqrt(lo * hi), 0.5 * (lo + hi))
-        edges = np.sort(np.concatenate([self.edges, mid]))
-        return ShellRule(self.model, edges, self.open_lo, self.open_hi)
-
     def _at_probes(self, values):
         # mean over the directions of each probe radius: (..., n_probes)
         return np.asarray(values, dtype=float)[..., self._probes].mean(axis=-1)

@@ -2,22 +2,23 @@
 equations and the drift-removing change of variables Phi(x) = x + u(x).
 
 Local part: a(x) u'' + b(x) u' - lambda u with a = sigma^2/2, centered second
-difference and upwinded first derivative (the resulting matrix is an M-matrix,
-so the discrete comparison principle holds).  The nonlocal small-jump part is
-treated explicitly (lagged) inside the implicit local solve and iterated to a
-fixed point, mirroring its lower-order role.
+difference and upwinded first derivative (an M-matrix, so the discrete
+comparison principle holds for the local part).
 
-The nonlocal operator splits the z-integral at delta = sqrt(h): below delta
-the exact second-order Taylor remainder collapses to u''(x)/2 times the
-second jump moment (``gamma_moment``, one call for all nodes, made once per
-solve since it does not depend on u); above delta the integrand
-u(x+g)-u(x)-g u'(x) is integrated directly with the nu-quadrature rule of
-``levy_noise``, its panels halved until the value settles.  Both solvers
-run the same lagged fixed-point sweeps (``_nonlocal_sweeps``).
+The small-jump part L^g is linear in u's node values at a fixed quadrature
+rule, so ``_nonlocal_matrix`` assembles it once per solve as one sparse
+matrix.  The z-integral splits at delta = sqrt(h): below delta the exact
+second-order Taylor remainder collapses to u''(x)/2 times the second jump
+moment (``gamma_moment``, independent of u); above delta the integrand
+u(x+g)-u(x)-g u'(x) is summed against one ``levy_noise.shell_rule``, u(x+g)
+read through a local 4-point cubic.  The elliptic solve is then one sparse
+LU of (lambda - local - N), and the backward solve is fully implicit, one
+factorisation per step size (per step when the problem depends on time).
 
 u is a node table with linear interpolation, so Phi = id + u is piecewise
-linear and Phi^-1 is the interpolation on the nodes (Phi(x_i), x_i),
-continued past the grid by the inverse edge slopes 1 / (1 + u'_edge).
+linear and Phi^-1 is the interpolation on the nodes (Phi(x_i), x_i); past
+the grid both continue on their edge lines, of slopes 1 + u'_edge and
+1 / (1 + u'_edge).
 ``ZvonkinMap`` locates y in that table without a search (equal y-buckets,
 about two per cell, then at most a fixed number of comparisons) and reads
 Phi^-1(y), u and Phi' from the one located cell: the transformed
@@ -28,19 +29,14 @@ over the unsorted states of an ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import interpolate, sparse
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from levylab.errors import (
-    ContractionError,
-    ExtrapolationError,
-    NonConvergenceError,
-    ParameterError,
-)
+from levylab.errors import ContractionError, ExtrapolationError, ParameterError
 from levylab.levy_noise import shell_rule
 from levylab.sde_model import SdeProblem, floor_away_from_zero, gamma_moment
 
@@ -105,15 +101,13 @@ class GridFunction:
         xs = np.linspace(lo, hi, n)
         return cls(lo, hi, n, np.asarray(fn(xs), dtype=float), extension)
 
-    def _extend(self, x, inner):
-        # np.interp and the clipped spline already hold the edge values
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        inner = np.interp(x, self.x, self.values)
+        # np.interp already holds the edge values outside
         if self.extension == "constant":
             return inner
         return _edge_lines(x, inner, self.x, self.values, self.edge_slopes())
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._extend(x, np.interp(x, self.x, self.values))
 
     def stencil_derivatives(self):
         """(u', u'') at the nodes by central stencils (one-sided at edges)."""
@@ -129,16 +123,6 @@ class GridFunction:
 
     def sup(self):
         return float(np.max(np.abs(self.values)))
-
-    @cached_property
-    def _spline(self):
-        # not-a-knot cubic: reproduces quadratics exactly for the nonlocal tests
-        return interpolate.CubicSpline(self.x, self.values, bc_type="not-a-knot")
-
-    def eval_smooth(self, x):
-        """Cubic-spline interior evaluation, extension policy outside."""
-        x = np.asarray(x, dtype=float)
-        return self._extend(x, np.asarray(self._spline(np.clip(x, self.lo, self.hi))))
 
 
 def _edge_lines(x, inner, xp, fp, slopes):
@@ -158,58 +142,98 @@ def gridfunction_to_csv(gf, fileobj):
 # nonlocal operator
 
 
-def _nonlocal_outer_on_points(u, p, xs, delta, tol=1e-6):
-    """Outer part of the small-jump generator at points xs (vectorized).
+def _lagrange(grid, pts, order):
+    """(columns, weights), each of shape pts.shape + (m,), that read node
+    values v of the grid (lo, hi, n) at the points pts: v(pts) = sum over the
+    last axis of weights * v[columns].
 
-    Direct quadrature of u(x+g(x,z)) - u(x) - g(x,z) u'(x) over
-    delta <= |z| < R, halving the rule's panels until the value settles.
+    Inside the grid v is the Lagrange interpolant on m = ``order``
+    consecutive nodes around the point's cell, shifted inward at the edges
+    (order 2 is np.interp, order 4 the local cubic, exact on cubics); beyond
+    the grid it is the line through the two end nodes, ``GridFunction``'s
+    linear extension.
     """
-    du, _ = u.stencil_derivatives()
-    du_x = np.interp(xs, u.x, du)
-    ux = u.eval_smooth(xs)
-
-    rule = shell_rule(p.levy, delta, p.levy.big_jump_radius)
-    prev = None
-    while True:
-        gv = p.g_pairs(0.0, xs, rule.nodes)
-        total = rule.integrate(u.eval_smooth(xs[:, None] + gv) - ux[:, None] - gv * du_x[:, None])
-        if prev is not None and np.max(np.abs(total - prev)) <= tol * (1.0 + np.max(np.abs(total))):
-            return total
-        if len(rule.edges) > 1024:
-            return total
-        prev = total
-        rule = rule.refined()
+    lo, hi, n = grid
+    m = min(order, n)
+    s = (pts - lo) * ((n - 1) / (hi - lo))
+    start = np.clip(np.floor(s).astype(np.intp) - (m // 2 - 1), 0, n - m)
+    t = (s - start)[..., None]
+    k = np.arange(m)
+    w = np.ones(t.shape[:-1] + (m,))
+    for i in k:  # w_k = prod_{i != k} (t - i) / (k - i)
+        w *= np.where(k == i, 1.0, (t - i) / np.where(k == i, 1, k - i))
+    # beyond the grid: the line through the end pair, local nodes 0, 1 or m-2, m-1
+    pair = np.where(s < 0, 0, m - 2)[..., None]
+    line = (k == pair) * (1.0 - (t - pair)) + (k == pair + 1) * (t - pair)
+    return start[..., None] + k, np.where(((s < 0) | (s > n - 1))[..., None], line, w)
 
 
-def _inner_mass(p, xs, h):
-    """(delta, second jump moment over |z| < delta at xs); independent of u."""
-    delta = min(math.sqrt(h), p.levy.big_jump_radius)
-    return delta, gamma_moment(p, xs, 0, 2.0, 0.0, delta)
+def _rows(n, *blocks):
+    """CSR matrix summing (columns, values) blocks whose leading axis is the row."""
+    rows = [np.broadcast_to(np.arange(len(c)).reshape((-1,) + (1,) * (c.ndim - 1)), c.shape) for c, _ in blocks]
+    cols = np.concatenate([c.ravel() for c, _ in blocks])
+    vals = np.concatenate([np.broadcast_to(v, c.shape).ravel() for c, v in blocks])
+    return sparse.csr_matrix((vals, (np.concatenate([r.ravel() for r in rows]), cols)), shape=(len(blocks[0][0]), n))
 
 
-def _nonlocal_on_grid(u, p, xs, tol=1e-6, inner=None):
-    """Small-jump generator L^g_{nu,R} u at the points xs; ``inner`` is
-    ``_inner_mass(p, xs, u.h)``, computed here when not given."""
-    if not p.has_jumps:
-        return np.zeros_like(xs)
-    delta, mass = _inner_mass(p, xs, u.h) if inner is None else inner
-    _, d2 = u.stencil_derivatives()
-    d2_x = np.interp(xs, u.x, d2)
-    return 0.5 * d2_x * mass + _nonlocal_outer_on_points(u, p, xs, delta, tol=tol)
+def _at_time(p, t):
+    """p with its jump coefficient frozen at time t (``gamma_moment`` reads g at 0)."""
+    if p.time_homogeneous or p.jump is None:
+        return p
+    return replace(p, jump=lambda _, x, z: p.jump(t, x, z))
 
 
-def apply_nonlocal(u, p, x, tol=1e-6):
-    """Small-jump nonlocal operator L^g_{nu,R} u at a point x.
+def _nonlocal_matrix(p, grid, xs, t):
+    """The small-jump generator L^g_{nu,R} at time t as a sparse
+    (len(xs), n) matrix on the node values of the grid (lo, hi, n).
 
-    The z-integral splits at delta = sqrt(h): the inner part uses the exact
-    second-order Taylor remainder (u''(x)/2 times the second jump moment, an
-    identity for quadratic u), the outer part direct quadrature of
-    u(x+g(x,z)) - u(x) - g(x,z) u'(x).
+    The z-integral splits at delta = sqrt(h).  Inner part: u''(x)/2 times
+    the second jump moment over |z| < delta (the exact Taylor remainder of a
+    quadratic).  Outer part: u(x+g) - u(x) - g u'(x) summed against the
+    weights of ``shell_rule(delta, R)``, u read through the local cubic of
+    ``_lagrange``.  u' and u'' are the node stencils of
+    ``GridFunction.stencil_derivatives`` read by np.interp.  The matrix is
+    exact on 1, x and x^2 at any point inside the grid; row i spans the nodes
+    within max|g(xs_i, .)| + 2h of xs_i.
+    """
+    lo, hi, n = grid
+    h = (hi - lo) / (n - 1)
+    big_r = p.levy.big_jump_radius
+    delta = min(math.sqrt(h), big_r)
+    mass = gamma_moment(_at_time(p, t), xs, 0, 2.0, 0.0, delta)
+    rule = shell_rule(p.levy, delta, big_r)
+    gv = p.g_pairs(t, xs, rule.nodes)
+    jump_cols, jump_w = _lagrange(grid, xs[:, None] + gv, 4)
+    here_cols, here_w = _lagrange(grid, xs, 4)
+    # the 3-point stencils of the two nodes np.interp reads: np.gradient's
+    # one-sided edge rows are the central ones -+ h times the second difference
+    node_cols, node_w = _lagrange(grid, xs, 2)
+    centre = np.clip(node_cols, 1, n - 2)
+    d2 = node_w[..., None] * np.array([1.0, -2.0, 1.0]) / h**2
+    d1 = node_w[..., None] * np.array([-0.5, 0.0, 0.5]) / h + (h * np.sign(node_cols - centre))[..., None] * d2
+    return _rows(
+        n,
+        (jump_cols, jump_w * rule.weights[:, None]),
+        (here_cols, -rule.weights.sum() * here_w),
+        (centre[..., None] + [-1, 0, 1], 0.5 * mass[:, None, None] * d2 - (gv @ rule.weights)[:, None, None] * d1),
+    )
+
+
+def apply_nonlocal(u, p, x):
+    """Small-jump nonlocal operator L^g_{nu,R} u at a point x: one row of
+    ``_nonlocal_matrix`` applied to u's node values.
+
+    u is read beyond the grid on its linear extension, as the solvers read
+    their unknowns; a constant extension is refused.
     """
     x = float(x)
     if not (u.lo <= x <= u.hi):
         raise ExtrapolationError(f"x={x} outside the grid [{u.lo}, {u.hi}]")
-    return float(_nonlocal_on_grid(u, p, np.array([x]), tol=tol)[0])
+    if u.extension != "linear":
+        raise ParameterError("apply_nonlocal reads u on its linear extension")
+    if not p.has_jumps:
+        return 0.0
+    return float((_nonlocal_matrix(p, (u.lo, u.hi, u.n), np.array([x]), 0.0) @ u.values)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +251,14 @@ class SpaceTimeSolution:
 
 @dataclass
 class EllipticSolution:
+    """The resolvent solution with its sup norms; ``sweeps`` counts the
+    linear solves, one per call."""
+
     u: GridFunction
     lam: float
     sup_u: float
     sup_grad: float
     sweeps: int
-    residual: float
 
 
 def _local_matrix(a, b, lam, xs):
@@ -289,58 +315,29 @@ def _elliptic_coeffs(p, xs, t=0.0, drift="b1"):
     return a, bv
 
 
-def _nonlocal_sweeps(p, grid, lam, nonlocal_tol, sweep_tol, max_sweeps):
-    """``run(lu, base, edge, guess, where)`` -> (u, last update, sweeps): solve
-    ``lu u = base + L^g guess`` (Dirichlet rows ``edge``) with the nonlocal
-    term lagged until the update falls below ``sweep_tol``.  The inner mass
-    is computed once, for all runs.
-    """
-    lo, hi, n = grid
-    xs = np.linspace(lo, hi, n)
-    inner = _inner_mass(p, xs, (hi - lo) / (n - 1)) if p.has_jumps else None
-
-    def run(lu, base, edge, guess, where):
-        residual_first = None
-        for sweep in range(max_sweeps):
-            nl = _nonlocal_on_grid(GridFunction(lo, hi, n, guess), p, xs, nonlocal_tol, inner)
-            rhs = base + nl
-            rhs[0], rhs[-1] = edge
-            new = lu.solve(rhs)
-            residual = float(np.max(np.abs(new - guess)))
-            guess = new
-            if residual < sweep_tol or not p.has_jumps:
-                break
-            if residual_first is None:
-                residual_first = residual
-            elif sweep == max_sweeps - 1 and residual > residual_first:
-                raise NonConvergenceError(
-                    f"nonlocal sweeps diverge {where} (residual {residual:.3e}); raise lambda",
-                    lam=lam,
-                )
-        return guess, residual, sweep + 1
-
-    return run
+def _interior_nonlocal(p, grid, xs, t):
+    """The nonlocal matrix at the nodes with its Dirichlet rows dropped; None
+    for a problem without jumps."""
+    if not p.has_jumps:
+        return None
+    interior = np.ones(len(xs))
+    interior[[0, -1]] = 0.0
+    return sparse.diags(interior) @ _nonlocal_matrix(p, grid, xs, t)
 
 
-def solve_backward_pide(
-    p,
-    f,
-    lam,
-    horizon,
-    grid,
-    dt=1e-2,
-    terminal=0.0,
-    nonlocal_tol=1e-6,
-    sweep_tol=1e-8,
-    max_sweeps=50,
-):
+def _factorise(local, nonlocal_):
+    """splu of local - N, of local alone when N is None."""
+    return splu(local if nonlocal_ is None else (local - nonlocal_).tocsc())
+
+
+def solve_backward_pide(p, f, lam, horizon, grid, dt=1e-2, terminal=0.0):
     """Backward parabolic solve of  d_t u + (a d2 - lam) u + b d1 u + L^g u = f
     on [0, horizon] with u(horizon) = terminal and Dirichlet edges.
 
-    Implicit Euler marches in reversed time; the nonlocal term lags one
-    fixed-point sweep inside each implicit step and sweeps repeat until the
-    update falls below ``sweep_tol`` (NonConvergenceError reports lam if the
-    residual grows for ``max_sweeps`` sweeps).
+    Fully implicit Euler in reversed time, local and nonlocal parts alike,
+    at the coefficients of each step's earlier time.  A time-homogeneous
+    problem assembles its operator once and factorises it once per step
+    size; a time-dependent one assembles and factorises on every step.
     """
     lo, hi, n = grid
     xs = np.linspace(lo, hi, n)
@@ -352,47 +349,44 @@ def solve_backward_pide(
     values[-1] = v
     edge = (v[0], v[-1])
 
+    frozen = _interior_nonlocal(p, grid, xs, horizon) if p.time_homogeneous else None
+
+    def factorised(t, step):
+        a, bv = _elliptic_coeffs(p, xs, t=t, drift="full")
+        nonlocal_ = frozen if p.time_homogeneous else _interior_nonlocal(p, grid, xs, t)
+        return _factorise(_local_matrix(a, bv, lam + 1.0 / step, xs), nonlocal_)
+
     lu_step = dt  # the step the factorised matrix was built for
     if p.time_homogeneous:
-        a, bv = _elliptic_coeffs(p, xs, t=horizon, drift="full")
-        lu = splu(_local_matrix(a, bv, lam + 1.0 / dt, xs))
-    sweeps = _nonlocal_sweeps(p, grid, lam, nonlocal_tol, sweep_tol, max_sweeps)
+        lu = factorised(horizon, dt)
 
     for k in range(n_steps - 1, -1, -1):
         t = times[k]
         step = times[k + 1] - times[k]
         if not p.time_homogeneous or abs(step - lu_step) > 1e-14:
-            a, bv = _elliptic_coeffs(p, xs, t=t, drift="full")
-            lu, lu_step = splu(_local_matrix(a, bv, lam + 1.0 / step, xs)), step
-        v, _, _ = sweeps(lu, v / step - forcing(t), edge, v, f"at t={t}")
+            lu, lu_step = factorised(t, step), step
+        rhs = v / step - forcing(t)
+        rhs[0], rhs[-1] = edge
+        v = lu.solve(rhs)
         values[k] = v
 
     return SpaceTimeSolution(times=times, grid=GridFunction(lo, hi, n, values[0]), values=values)
 
 
-def solve_elliptic(p, f, lam, grid, drift="b1", nonlocal_tol=1e-6, sweep_tol=1e-8, max_sweeps=50):
+def solve_elliptic(p, f, lam, grid, drift="b1"):
     """Resolvent solve of  (a d2 - lam) u + b d1 u + L^g u = f  with Dirichlet
-    zero edges; b is the declared singular part b1 (or the full drift with
-    drift='full').  Returns the solution with its sup norms, the inputs of the
-    lambda-scaling diagnostics.
+    zero edges, by one sparse LU of (lam - local - N); b is the declared
+    singular part b1 (or the full drift with drift='full').  Returns the
+    solution with its sup norms, the inputs of the lambda-scaling diagnostics.
     """
     lo, hi, n = grid
     xs = np.linspace(lo, hi, n)
     a, bv = _elliptic_coeffs(p, xs, drift=drift)
-    lu = splu(_local_matrix(a, bv, lam, xs))
-    sweeps = _nonlocal_sweeps(p, grid, lam, nonlocal_tol, sweep_tol, max_sweeps)
-    guess, residual, count = sweeps(
-        lu, -_coerce_forcing(f, xs)(0.0), (0.0, 0.0), np.zeros(n), "in the elliptic solve"
-    )
-    u = GridFunction(lo, hi, n, guess)
-    return EllipticSolution(
-        u=u,
-        lam=lam,
-        sup_u=u.sup(),
-        sup_grad=u.grad_max(),
-        sweeps=count,
-        residual=residual,
-    )
+    rhs = -_coerce_forcing(f, xs)(0.0)
+    rhs[0] = rhs[-1] = 0.0
+    lu = _factorise(_local_matrix(a, bv, lam, xs), _interior_nonlocal(p, grid, xs, 0.0))
+    u = GridFunction(lo, hi, n, lu.solve(rhs))
+    return EllipticSolution(u=u, lam=lam, sup_u=u.sup(), sup_grad=u.grad_max(), sweeps=1)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +420,15 @@ class ZvonkinMap:
             raise ContractionError("Phi is not strictly increasing on the grid")
         du, _ = self.u.stencil_derivatives()
         self._du_nodes = du
+        self._ys = ys
+        u_lo, u_hi = self.u.edge_slopes()
+        self._edge_grads = (1.0 + u_lo, 1.0 + u_hi)  # Phi's slopes beyond the grid
 
         # one row per cell: its anchor node (Phi(x_j), x_j, u_j, u'_j) and the
         # slopes of x, u and u' beyond it, np.interp's slopes inside the table
         # and the edge lines outside
         n, dx = len(xs), np.diff(xs)
         anchor = np.concatenate(([0], np.arange(n)))
-        u_lo, u_hi = self.u.edge_slopes()
         self._cells = np.column_stack(
             [
                 ys[anchor],
@@ -469,8 +465,10 @@ class ZvonkinMap:
         return np.moveaxis(self._cells.take(c, axis=0), -1, 0)
 
     def phi(self, x):
+        """x + u(x) on the grid, continued past it on its own edge lines (slope
+        1 + u'_edge through the end nodes), so that phi(+-inf) = +-inf."""
         x = np.asarray(x, dtype=float)
-        return x + self.u(x)
+        return _edge_lines(x, x + np.interp(x, self.u.x, self.u.values), self.u.x, self._ys, self._edge_grads)
 
     def grad_phi(self, x):
         """1 + u'(x) with the stencil derivative (smooth representation)."""
@@ -525,9 +523,9 @@ def build_zvonkin(p, lam=None, grid=None, lam_start=10.0, lam_cap=2.0**20):
     sigma~(y) = (Phi' sigma)(Phi^-1(y)),  b~(y) = (lam u + Phi' b2)(Phi^-1(y)),
     g~(y, z) = Phi(Phi^-1(y) + g(Phi^-1(y), z)) - y.
     When lam is None it starts at ``lam_start`` and doubles until
-    ||u||_inf + ||u'||_inf <= 1/2, stepping past lambdas whose nonlocal sweeps
-    diverge; explicit lam that violates the contraction raises ContractionError
-    with the measured norms, and one whose sweeps diverge NonConvergenceError.
+    ||u||_inf + ||u'||_inf <= 1/2; explicit lam that violates the contraction
+    (or a search that reaches ``lam_cap``) raises ContractionError with the
+    measured norms.
     """
     if not p.time_homogeneous:
         raise ParameterError("build_zvonkin needs a time-homogeneous problem")
@@ -551,21 +549,11 @@ def build_zvonkin(p, lam=None, grid=None, lam_start=10.0, lam_cap=2.0**20):
             lam_values.append(v)
             v *= 2.0
 
-    last = diverged = None
     for lv in lam_values:
-        try:
-            sol = solve_elliptic(p, rhs, lv, grid, drift="b1")
-        except NonConvergenceError as err:  # a larger lambda damps the sweeps
-            if lam is not None:
-                raise
-            diverged = err
-            continue
-        last = sol
-        if sol.sup_u + sol.sup_grad <= 0.5:
-            zmap = ZvonkinMap(u=sol.u, lam=lv, sup_u=sol.sup_u, sup_grad=sol.sup_grad)
+        last = solve_elliptic(p, rhs, lv, grid, drift="b1")
+        if last.sup_u + last.sup_grad <= 0.5:
+            zmap = ZvonkinMap(u=last.u, lam=lv, sup_u=last.sup_u, sup_grad=last.sup_grad)
             return zmap, _transformed_problem(p, zmap)
-    if last is None:
-        raise diverged
     raise ContractionError(
         f"contraction condition violated: ||u|| + ||u'|| = {last.sup_u + last.sup_grad:.4f} > 1/2 "
         f"at lambda = {last.lam}; raise lambda",
@@ -588,9 +576,17 @@ def _transformed_problem(p, zmap):
 
     jump_t = None
     if p.jump is not None:
+        lo_grad, hi_grad = zmap._edge_grads
+
         def jump_t(t, y, z):
+            y = np.asarray(y, dtype=float)
             x = zmap.phi_inverse(y)
-            return zmap.phi(x + p.g(t, x, z)) - y
+            gx = p.g(t, x, z)
+            # at y = +-inf, where Phi is its edge line, g~ is that line's Phi' g;
+            # the zeros keep inf - inf out of the discarded branch
+            far = np.isinf(y)
+            lifted = zmap.phi(np.where(far, 0.0, x) + gx) - np.where(far, 0.0, y)
+            return np.where(far, np.where(y > 0, hi_grad, lo_grad) * gx, lifted)
 
     q = SdeProblem(
         dim=1,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from levylab import pide_zvonkin
-from levylab.errors import ContractionError, ExtrapolationError, NonConvergenceError, ParameterError
-from levylab.levy_noise import LevyModel
+from levylab.errors import ContractionError, ExtrapolationError, ParameterError
+from levylab.levy_noise import LevyModel, tail_mass
 from levylab.pide_zvonkin import (
     GridFunction,
     apply_nonlocal,
@@ -54,18 +54,32 @@ class TestGridFunction:
             GridFunction(0.0, 1.0, 5, np.array([0, 1, np.nan, 0, 0.0]))
 
 
+def _exactness_cases():
+    """(grid, point) pairs: 101, 401 and 4001 nodes, at a node and off the nodes."""
+    for n in (101, 401, 4001):
+        h = 20.0 / (n - 1)
+        node = -10.0 + h * round(10.3 / h)
+        for x in (node, node + 0.37 * h, -node - 0.81 * h):
+            yield (-10.0, 10.0, n), x
+
+
 class TestNonlocal:
     def test_quadratic_reproduces_second_moment(self):
-        u = GridFunction.from_callable(lambda x: x**2, -10, 10, 401)
-        # Taylor remainder of a quadratic is exactly z^2, so the operator
-        # evaluates the second jump moment 4.0
-        assert apply_nonlocal(u, JUMP_ID, 0.5) == pytest.approx(4.0, abs=1e-4)
+        # the Taylor remainder of x^2 is exactly g^2, and the local cubic, the
+        # stencils and the inner moment are exact on quadratics, so the operator
+        # evaluates sigma_bar(x)^2 times the second moment of nu over |z| < 1
+        m2 = tail_mass(M15, 0.0, 1.0, 2.0)
+        for grid, x in _exactness_cases():
+            u = GridFunction.from_callable(np.square, *grid)
+            assert abs(apply_nonlocal(u, JUMP_ID, x) - m2) < 1e-9, (grid, x)
+            assert abs(apply_nonlocal(u, MAIN, x) - _MAIN_SIGMA_BAR(0.0, x) ** 2 * m2) < 1e-9, (grid, x)
 
     def test_constant_and_linear_vanish(self):
-        uc = GridFunction.from_callable(lambda x: 3.0 + 0 * x, -10, 10, 401)
-        ul = GridFunction.from_callable(lambda x: x, -10, 10, 401)
-        assert abs(apply_nonlocal(uc, JUMP_ID, 0.3)) < 1e-10
-        assert abs(apply_nonlocal(ul, JUMP_ID, 0.3)) < 1e-10
+        for grid, x in _exactness_cases():
+            for fn in (lambda xs: 3.0 + 0 * xs, lambda xs: xs):
+                u = GridFunction.from_callable(fn, *grid)
+                assert abs(apply_nonlocal(u, JUMP_ID, x)) < 1e-10, (grid, x)
+                assert abs(apply_nonlocal(u, MAIN, x)) < 1e-10, (grid, x)
 
     def test_extrapolation_guard(self):
         u = GridFunction.from_callable(lambda x: x**2, -1, 1, 51)
@@ -125,8 +139,25 @@ class TestBackwardPide:
         grid = (-10, 10, 201)
         sol = solve_backward_pide(SMALL_JUMPS, GAUSS_BUMP, 3.0, 6.0, grid, dt=0.1)
         ell = solve_elliptic(SMALL_JUMPS, GAUSS_BUMP, 3.0, grid)
-        assert ell.sweeps > 1
+        assert ell.sweeps == 1
         assert np.max(np.abs(sol.values[0] - ell.u.values)) < 1e-6
+
+
+def test_time_dependent_jump_coefficient_is_read_at_each_step():
+    # g = (1 + t) 0.3 z enters the backward solve at each step's time; a
+    # t-constant g declared time-dependent gives the time-homogeneous solution
+    def problem(g, homogeneous):
+        sigma = lambda t, x: np.sqrt(2.0) * np.ones_like(x)
+        return SdeProblem(sigma=sigma, jump=g, levy=M15, time_homogeneous=homogeneous)
+
+    def solve(p):
+        return solve_backward_pide(p, GAUSS_BUMP, 3.0, 1.0, (-10, 10, 101), dt=0.1).values
+
+    frozen = solve(problem(lambda t, x, z: 0.3 * z + 0 * x, True))
+    growing = solve(problem(lambda t, x, z: (1.0 + t) * 0.3 * z + 0 * x, False))
+    declared = solve(problem(lambda t, x, z: 0.3 * z + 0 * x, False))
+    assert np.max(np.abs(growing - frozen)) > 1e-3
+    assert np.max(np.abs(declared - frozen)) <= 1e-12
 
 
 def test_inner_jump_mass_computed_once_per_solve(monkeypatch):
@@ -140,7 +171,7 @@ def test_inner_jump_mass_computed_once_per_solve(monkeypatch):
     monkeypatch.setattr(pide_zvonkin, "gamma_moment", counted)
     grid = (-10, 10, 101)
     ell = solve_elliptic(SMALL_JUMPS, GAUSS_BUMP, 3.0, grid)
-    assert ell.sweeps > 1 and len(calls) == 1
+    assert ell.sweeps == 1 and len(calls) == 1
     calls.clear()
     sol = solve_backward_pide(SMALL_JUMPS, GAUSS_BUMP, 3.0, 1.0, grid, dt=0.1)
     assert len(sol.times) == 11 and len(calls) == 1
@@ -202,13 +233,11 @@ class TestElliptic:
         p, lam, f = SMALL_JUMPS, 3.0, GAUSS_BUMP
         s = solve_elliptic(p, f, lam, (-10, 10, 401))
         # residual of (a d2 - lam) u + NL u - f at interior nodes
-        from levylab.pide_zvonkin import _nonlocal_on_grid
-
         xs = s.u.x[100:-100]
         h = s.u.h
         vals = s.u.values
         d2 = (vals[101:-99] - 2 * vals[100:-100] + vals[99:-101]) / h**2
-        nl = _nonlocal_on_grid(s.u, p, xs)
+        nl = pide_zvonkin._nonlocal_matrix(p, (-10, 10, 401), xs, 0.0) @ vals
         resid = 1.0 * d2 - lam * vals[100:-100] + nl - f(0.0, xs)
         assert np.max(np.abs(resid)) < 5e-3
 
@@ -261,35 +290,25 @@ class TestZvonkin:
         rep = audit_dissipativity(q, np.linspace(0.0, 8.0, 33))
         assert rep.passed
 
-    def test_lambda_search_steps_past_divergent_sweeps(self):
-        # in the main setting the sweeps diverge at lambda = 10 and 20 and
-        # contract at 40
-        grid = (-10.0, 10.0, 51)
-        with pytest.raises(NonConvergenceError):
-            build_zvonkin(MAIN, lam=20.0, grid=grid)
-        zmap, _ = build_zvonkin(MAIN, grid=grid)
-        assert zmap.lam == 40.0
-        assert zmap.sup_u + zmap.sup_grad <= 0.5
-
-    @pytest.mark.parametrize(
-        "solve",
-        [
-            lambda p, f, grid: solve_elliptic(p, f, 1e-4, grid, max_sweeps=8),
-            lambda p, f, grid: solve_backward_pide(p, f, 1e-4, 10.0, grid, dt=10.0, max_sweeps=8),
-        ],
-        ids=["elliptic", "backward"],
-    )
-    def test_nonconvergence_reports_lambda(self, solve):
-        # a fat jump coefficient at tiny lambda cannot contract
-        p = problem_1d(
-            sigma=lambda x: 0.05 * np.ones_like(x),
-            g=lambda x, z: 3.0 * z + 0 * x,
-            levy=M15,
-            sigma_bar=lambda x: 3.0 * np.ones_like(x),
-        )
-        with pytest.raises(NonConvergenceError) as err:
-            solve(p, lambda t, xs: np.sin(xs), (-6, 6, 301))
-        assert err.value.lam == 1e-4
+    def test_direct_solve_at_small_lambda(self):
+        # at lambda = 10 and 20 the main setting's nonlocal part is not small
+        # against lambda (a fixed-point iteration on it diverges); the direct
+        # solve returns u with (lam - L_h) u = b1 to round-off
+        f = lambda t, xs: -pide_zvonkin.cell_average(lambda xv: MAIN.b1(t, xv), xs)
+        for n in (51, 401):
+            grid = (-10.0, 10.0, n)
+            xs = np.linspace(*grid)
+            a, b = pide_zvonkin._elliptic_coeffs(MAIN, xs)
+            nonlocal_ = pide_zvonkin._nonlocal_matrix(MAIN, grid, xs, 0.0)
+            for lam in (10.0, 20.0):
+                u = solve_elliptic(MAIN, f, lam, grid).u.values
+                assert np.all(np.isfinite(u))
+                resid = (pide_zvonkin._local_matrix(a, b, lam, xs) - nonlocal_) @ u + f(0.0, xs)
+                assert np.max(np.abs(resid[1:-1])) <= 1e-10 * np.max(np.abs(f(0.0, xs)))
+        # so the search takes its first lambda, 10, and contracts there
+        zmap, _ = build_zvonkin(MAIN, grid=(-10.0, 10.0, 51))
+        assert zmap.lam == 10.0
+        assert zmap.sup_u + zmap.sup_grad == pytest.approx(0.352, abs=1e-3)
 
 
 def test_local_matrix_is_csc_with_dirichlet_rows():
@@ -397,5 +416,16 @@ def test_non_finite_states_pass_through_without_warnings():
     zmap, q = build_zvonkin(preset("ou_singular"), grid=(-10, 10, 401))
     y = np.array([np.nan, np.inf, -np.inf])
     np.testing.assert_array_equal(zmap.phi_inverse(y), [np.nan, np.inf, -np.inf])
+    # Phi continues on its edge lines, though u's edge slope here is -4e-26
+    np.testing.assert_array_equal(zmap.phi(y), [np.nan, np.inf, -np.inf])
     np.testing.assert_array_equal(q.b2(0.0, y), [np.nan, -np.inf, np.inf])
     np.testing.assert_array_equal(q.sigma(0.0, y), [np.nan, np.sqrt(2.0), np.sqrt(2.0)])
+
+
+@pytest.mark.filterwarnings("error")
+def test_jump_coefficient_of_exploded_states(zmaps):
+    # g~ at y = +-inf is the edge line's Phi' times g, here +-inf, with no warning
+    _, q = zmaps["main"]
+    y = np.array([np.inf, np.inf, -np.inf, -np.inf])
+    z = np.array([0.5, -0.5, 0.5, -0.5])
+    np.testing.assert_array_equal(q.g(0.0, y, z), [np.inf, -np.inf, np.inf, -np.inf])

@@ -13,8 +13,10 @@ Array layout: the large jumps of W paths over [0, T) are one Poisson process
 on [0, W T) whose i-th window belongs to path i, held as a ``JumpTrain`` (flat
 times and marks with per-path offsets).  Each base step takes one substep over
 all paths; the paths that jump in it are spliced by one g call, and only those
-still short of the step's end substep again.  The band jumps of a substep are
-one flat draw over all paths, summed per path with ``np.bincount``.
+still short of the step's end substep again.  While every path lives and no
+large jump falls in a base step, its substep takes one scalar step length and
+no alive mask.  The band jumps of a substep are one flat draw over all paths,
+summed per path with ``np.bincount``.
 
 Determinism: every simulation is keyed by a seed (int or SeedSequence) from
 which a (flow, jumps) stream pair is derived; the ensemble keys chunk i of
@@ -35,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from levylab.errors import ParameterError, TruncationError
-from levylab.levy_noise import JumpTrain, ShellSampler, levy_constant, sample_large_jumps, shell_rule, tail_mass, _stable_increments
+from levylab.levy_noise import ShellSampler, levy_constant, sample_large_jumps, shell_rule, tail_mass, _stable_increments
 
 __all__ = [
     "StepConfig",
@@ -202,52 +204,61 @@ class _Engine:
         return out[:, None] if out.ndim == 1 else out
 
     def substep(self, X, t, dtv, rng, alive):
-        """One Euler substep over per-path interval lengths dtv (frozen state)."""
+        """One Euler substep over interval lengths dtv (frozen state).
+
+        ``dtv`` is one float when every path steps alike, else one length per
+        path; ``alive`` masks out dead paths, None when every path lives.
+        """
         p = self.p
         W, d = X.shape
-        dtv = np.where(alive, dtv, 0.0)
-        Xs = np.where(alive[:, None], X, 0.0)
-        x_arg = Xs[:, 0] if d == 1 else Xs
-        upd = np.zeros_like(X)
+        if alive is not None:
+            dtv = np.where(alive, dtv, 0.0)
+            X_in, X = X, np.where(alive[:, None], X, 0.0)
+        x_arg = X[:, 0] if d == 1 else X
+        dtc = dtv[:, None] if isinstance(dtv, np.ndarray) else dtv
+        upd = np.zeros((W, d))
 
         # singular coefficients carry their own |x| v eps floor (sign(0) = 0
         # semantics); an engine-side floor would kick exact-zero states
-        upd += np.reshape(p.b(t, x_arg), (W, d)) * dtv[:, None]
+        upd += p.b(t, x_arg).reshape(W, d) * dtc
 
         if p.sigma is not None:
             z = rng.standard_normal((W, d))
             sig = np.asarray(p.sigma_eval(t, x_arg), dtype=float)
-            root = np.sqrt(dtv)
+            root = np.sqrt(dtc)
             if sig.ndim <= 1:
-                upd += sig.reshape(W, 1) * root[:, None] * z
+                upd += sig.reshape(W, 1) * root * z
             else:
-                upd += np.einsum("nij,nj->ni", sig, z) * root[:, None]
+                upd += np.einsum("nij,nj->ni", sig, z) * root
 
         if self.exact:
             dl = _stable_increments(p.levy.alpha, d, 1.0, W, rng)
-            scale = (self.exact_scale * dtv) ** (1.0 / p.levy.alpha)
+            scale = (self.exact_scale * dtc) ** (1.0 / p.levy.alpha)
             sb = np.asarray(p.sigma_bar(t, x_arg), dtype=float).reshape(W)
-            upd += sb[:, None] * scale[:, None] * dl
+            upd += sb[:, None] * scale * dl
         elif self.band is not None and self.band.active:
             band = self.band
-            # all band jumps of the substep in one flat draw, summed per owning path
-            counts = rng.poisson(band.sampler.rate * dtv)
+            # all band jumps of the substep in one flat draw, summed per owning
+            # path; size=W makes a scalar rate draw the stream a vector one does
+            counts = rng.poisson(band.sampler.rate * dtv, size=W)
             n = int(counts.sum())
             if n:
-                owner = np.repeat(np.arange(W), counts)
+                owner = np.arange(W).repeat(counts)
                 marks = band.sampler.marks(n, rng)
-                gval = np.reshape(p.g(t, x_arg[owner], marks[:, 0] if d == 1 else marks), (n, d))
+                gval = p.g(t, x_arg[owner], marks[:, 0] if d == 1 else marks).reshape(n, d)
                 for j in range(d):
                     upd[:, j] += np.bincount(owner, weights=gval[:, j], minlength=W)
             comp = band.compensator(t, x_arg)
             if comp is not None:
-                upd -= np.reshape(comp, (W, d)) * dtv[:, None]
+                upd -= np.reshape(comp, (W, d)) * dtc
             if band.gauss:
                 sb = np.asarray(p.sigma_bar(t, x_arg), dtype=float).reshape(W)
                 var = sb**2 * band.gauss_var_unit
                 upd += np.sqrt(var * dtv)[:, None] * rng.standard_normal((W, d))
 
-        return np.where(alive[:, None], X + upd, X)
+        if alive is None:
+            return X + upd
+        return np.where(alive[:, None], X_in + upd, X_in)
 
     def run(self, x0, t0, t1, rng, jumps=None):
         """Advance paths x0 (W, d) from t0 to t1; ``jumps`` is a W-path JumpTrain or None."""
@@ -257,18 +268,16 @@ class _Engine:
         exploded_at = np.full(W, np.nan)
         absorbed_at = np.full(W, np.nan)
         alive = np.ones(W, dtype=bool)
-        paths = np.arange(W)
 
-        # per-path cursor into the flat jump arrays; index n past the end reads inf
-        if jumps is None:
-            jumps = JumpTrain(np.empty(0), np.empty((0, d)), np.zeros(W + 1, dtype=np.int64))
-        jump_times = np.append(jumps.times, np.inf)
-        cursor, ends = jumps.offsets[:-1].copy(), jumps.offsets[1:]
-
-        def next_time(rows):
-            return jump_times[np.where(cursor[rows] < ends[rows], cursor[rows], len(jumps))]
-
-        next_jump = next_time(paths)
+        # per-path cursor into the flat jump arrays; after[i] is the time of the
+        # jump that follows entry i on its path (inf after the path's last)
+        next_jump = np.full(W, np.inf)
+        if jumps is not None and len(jumps):
+            cursor, ends = jumps.offsets[:-1].copy(), jumps.offsets[1:]
+            owns = ends > cursor
+            after = np.append(jumps.times[1:], np.inf)
+            after[ends[owns] - 1] = np.inf
+            next_jump[owns] = jumps.times[cursor[owns]]
 
         n_steps = int(math.ceil((t1 - t0) / self.cfg.dt - 1e-12)) if t1 > t0 else 0
         if n_steps > self.cfg.max_steps:
@@ -292,70 +301,101 @@ class _Engine:
         f_prev = self._eval_f(t0, X) if self.integrand is not None else None
         integral = np.zeros_like(f_prev) if self.integrand is not None else None
 
-        def check_explode(t_now, rows):
-            Xr = X[rows]
-            bad = alive[rows] & (~np.all(np.isfinite(Xr), axis=1) | (np.max(np.abs(Xr), axis=1) > EXPLOSION_BOUND))
-            if np.any(bad):
-                exploded_at[rows] = np.where(bad, t_now, exploded_at[rows])
-                alive[rows] &= ~bad
+        def kill(record, t_now, rows, hit):
+            n = int(np.count_nonzero(hit))
+            if n:
+                record[rows] = np.where(hit, t_now, record[rows])
+                alive[rows] &= ~hit
+                # a dead path splices no more jumps
+                next_jump[rows] = np.where(hit, np.inf, next_jump[rows])
+            return n
+
+        def check_explode(t_now, rows, Xr):
+            """Kill the live paths of ``rows`` (states ``Xr``) that left the bound
+            (NaN fails its compare too) or the absorbing interval; returns how
+            many died."""
+            inside = np.abs(Xr) <= EXPLOSION_BOUND
+            died = 0
+            if not inside.all():
+                died += kill(exploded_at, t_now, rows, alive[rows] & ~inside.all(axis=1))
             if self.absorb is not None:
                 lo, hi = self.absorb
-                out = alive[rows] & ((Xr[:, 0] <= lo) | (Xr[:, 0] >= hi))
-                if np.any(out):
-                    absorbed_at[rows] = np.where(out, t_now, absorbed_at[rows])
-                    alive[rows] &= ~out
+                died += kill(absorbed_at, t_now, rows, alive[rows] & ((Xr[:, 0] <= lo) | (Xr[:, 0] >= hi)))
+            return died
 
-        t_cur = np.full(W, float(grid[0]))
+        # every live path starts each base step at t_prev.  n_dead and next_due
+        # (no live path jumps before it) keep the common step free of masks and
+        # per-path step lengths; a step with a jump in it carries the rows still
+        # to step and their times (each at its jump) from one pass to the next
+        n_dead = 0
+        next_due = float(next_jump.min(initial=np.inf))
+        t_prev = float(grid[0])
         every = slice(None)
         for k in range(1, len(grid)):
             target = float(grid[k])
-            # every path takes the first substep; after a splice only the paths
-            # still short of the target (or with a further jump at it) go on
+            spliced = next_due <= target
             rows = every
             while True:
-                stop = np.minimum(next_jump[rows], target)
-                dtv = np.maximum(stop - t_cur[rows], 0.0)
-                live = alive[rows]
-                step = self.substep(X[rows], float(np.min(t_cur[rows])), dtv, rng, live)
+                if rows is every:
+                    t, live = t_prev, (alive if n_dead else None)
+                    if spliced:
+                        dtv = np.maximum(np.minimum(next_jump, target) - t_prev, 0.0)
+                    else:
+                        dtv = target - t_prev
+                else:
+                    t, live = float(t_rows.min()), None
+                    dtv = np.maximum(np.minimum(next_jump[rows], target) - t_rows, 0.0)
+                step = self.substep(X[rows], t, dtv, rng, live)
                 # the full-width pass rebinds X: copying into it made an
                 # exact_stable run of 32768 paths 25-30% slower
                 if rows is every:
                     X = step
                 else:
                     X[rows] = step
-                t_cur[rows] = np.where(live, stop, t_cur[rows])
-                check_explode(target, rows)
+                n_dead += check_explode(target, rows, step)
                 if integral is not None:
-                    f_new = self._eval_f(target, X[rows])
-                    trap = 0.5 * dtv[:, None] * (f_prev[rows] + f_new)
-                    integral[rows] = np.where(alive[rows][:, None], integral[rows] + trap, integral[rows])
+                    f_new = self._eval_f(target, step)
+                    trap = 0.5 * (dtv[:, None] if isinstance(dtv, np.ndarray) else dtv) * (f_prev[rows] + f_new)
+                    acc = integral[rows] + trap
+                    integral[rows] = np.where(alive[rows][:, None], acc, integral[rows]) if n_dead else acc
                     f_prev[rows] = f_new
-                jumping = alive[rows] & (next_jump[rows] <= target)
-                if not np.any(jumping):
+                if not spliced:
                     break
-                jw = paths[rows][jumping]
+                jw = (next_jump <= target).nonzero()[0] if rows is every else rows[next_jump[rows] <= target]
+                if not len(jw):
+                    break
                 if self.record and W == 1:
                     rec_times.append(float(next_jump[0]))
                     rec_states.append(X.copy())
                     rec_isjump.append(False)
                 # the splice: one g call over every path that jumps in this step
                 at = cursor[jw]
-                tj = jump_times[at] if d == 1 else jump_times[at][:, None]
-                xw = X[jw, 0] if d == 1 else X[jw]
-                mk = jumps.marks[at, 0] if d == 1 else jumps.marks[at]
-                X[jw] += np.reshape(p.g(tj, xw, mk), (len(jw), d))
-                cursor[jw] += 1
-                next_jump[jw] = next_time(jw)
-                check_explode(target, jw)
+                tj, Xw = jumps.times[at], X[jw]
+                if d == 1:
+                    gj = p.g(tj, Xw[:, 0], jumps.marks[at, 0])
+                else:
+                    gj = p.g(tj[:, None], Xw, jumps.marks[at])
+                Xw += gj.reshape(len(jw), d)
+                X[jw] = Xw
+                cursor[jw] = at + 1
+                nj = next_jump[jw] = after[at]
+                n_dead += check_explode(target, jw, Xw)
                 if integral is not None:
-                    f_prev[jw] = self._eval_f(target, X[jw])
+                    f_prev[jw] = self._eval_f(target, Xw)
                 if self.record and W == 1:
                     rec_times.append(rec_times[-1])
                     rec_states.append(X.copy())
                     rec_isjump.append(True)
-                rows = jw[alive[jw] & ((t_cur[jw] < target) | (next_jump[jw] <= target))]
+                # a path goes on if it is short of the target or jumps again by it
+                go_on = (tj < target) | (nj <= target)
+                if n_dead:
+                    go_on &= alive[jw]
+                rows, t_rows = jw[go_on], tj[go_on]
                 if not len(rows):
                     break
+            if spliced:
+                next_due = float(next_jump.min(initial=np.inf))
+            t_prev = target
             if self.record and W == 1:
                 rec_times.append(target)
                 rec_states.append(X.copy())

@@ -127,9 +127,11 @@ class GridFunction:
 
 def _edge_lines(x, inner, xp, fp, slopes):
     """``inner`` on [xp[0], xp[-1]], continued outside by the lines through
-    the end nodes of (xp, fp) with the given (low, high) slopes."""
-    out = np.where(x < xp[0], fp[0] + slopes[0] * (x - xp[0]), inner)
-    return np.where(x > xp[-1], fp[-1] + slopes[1] * (x - xp[-1]), out)
+    the end nodes of (xp, fp) with the given (low, high) slopes.  A flat line
+    holds its end value, also at x = +-inf, where 0 * inf would be NaN."""
+    low = fp[0] + slopes[0] * (x - xp[0]) if slopes[0] else fp[0]
+    high = fp[-1] + slopes[1] * (x - xp[-1]) if slopes[1] else fp[-1]
+    return np.where(x > xp[-1], high, np.where(x < xp[0], low, inner))
 
 
 def gridfunction_to_csv(gf, fileobj):
@@ -544,6 +546,10 @@ def build_zvonkin(p, lam=None, grid=None, lam_start=10.0, lam_cap=2.0**20):
 
     lam_values = [lam] if lam is not None else []
     if lam is None:
+        if not 0 < lam_start <= lam_cap:
+            raise ParameterError(
+                f"the lambda search needs 0 < lam_start <= lam_cap, got lam_start = {lam_start}, lam_cap = {lam_cap}"
+            )
         v = lam_start
         while v <= lam_cap:
             lam_values.append(v)

@@ -17,7 +17,7 @@ from levylab.integrator import (
     simulate_interlaced,
     simulate_small_jump_path,
 )
-from levylab.sde_model import preset, problem_1d
+from levylab.sde_model import SdeProblem, preset, problem_1d
 
 M15 = LevyModel(alpha=1.5, dim=1, big_jump_radius=1.0)
 BM = problem_1d(sigma=lambda x: np.sqrt(2.0) * np.ones_like(x))
@@ -303,3 +303,62 @@ def test_jump_coefficient_calls_do_not_grow_with_path_count():
         return count[0]
 
     assert calls(4096) <= 2 * calls(64)
+
+
+@pytest.mark.parametrize("death", ["absorbed", "exploded"])
+def test_coefficients_timed_at_step_start_after_a_death(death):
+    # one of two paths dies at t = 0.1; the live one still reads the drift at
+    # each base step's start, not at the dead path's frozen time
+    seen = []
+
+    def drift(t, x):
+        seen.append(float(t))
+        return x**3
+
+    p = SdeProblem(dim=1, drift=drift, time_homogeneous=False)
+    x0, absorb = ([0.0, 0.95], (-1.0, 1.0)) if death == "absorbed" else ([0.0, 1e7], None)
+    eng = _Engine(p, StepConfig(dt=0.1), absorb=absorb)
+    res = eng.run(np.array(x0)[:, None], 0.0, 1.0, np.random.default_rng(0))
+    assert res[f"{death}_at"][1] == pytest.approx(0.1)
+    assert np.isnan(res["exploded_at"][0]) and np.isnan(res["absorbed_at"][0])
+    np.testing.assert_allclose(seen, 0.1 * np.arange(10), atol=1e-12)
+
+
+def _lean_cases():
+    non_odd_g = problem_1d(g=lambda x, z: x * z + 0.25 * np.abs(z), levy=M15)
+    return {
+        "ou_singular": (preset("ou_singular"), StepConfig(dt=1e-2)),
+        "interlaced": (preset("mixing_jump"), StepConfig(dt=1e-2)),
+        "exact_stable": (preset("mixing_jump"), StepConfig(dt=1e-2, exact_stable=True)),
+        "non_odd": (non_odd_g, StepConfig(dt=1e-2)),
+        "gaussian_correction": (preset("mixing_jump"), StepConfig(dt=1e-2, gaussian_correction=True)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_lean_cases()))
+def test_lean_substep_matches_the_masked_call(case):
+    # the run loop's lean call (scalar step, no mask while every path lives)
+    # draws the same stream and gives the same bytes as the masked vector call
+    p, cfg = _lean_cases()[case]
+    eng = _Engine(p, cfg)
+    W, dt = 64, 0.01
+    X = np.linspace(-2.0, 2.0, W)[:, None]
+    lean_rng, full_rng = np.random.default_rng(11), np.random.default_rng(11)
+    lean = eng.substep(X, 0.3, dt, lean_rng, None)
+    full = eng.substep(X, 0.3, np.full(W, dt), full_rng, np.ones(W, dtype=bool))
+    assert np.all(lean != X)
+    assert lean.tobytes() == full.tobytes()
+    assert lean_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+def test_mixed_explosion_marks_exactly_the_exploding_paths():
+    # paths from 1e7 leave the explosion bound in the first step; the others
+    # step on under the alive mask and stay finite
+    p = problem_1d(sigma=lambda x: 0.1 * np.ones_like(x), drift=lambda x: x**3)
+    n = 16
+    blows = np.arange(n) % 3 == 0
+    ens = simulate_ensemble(p, np.where(blows, 1e7, 0.5), 1.0, StepConfig(dt=0.1), n, 4)
+    assert np.array_equal(np.isfinite(ens.exploded_at), blows)
+    assert ens.exploded_at[blows] == pytest.approx(0.1)
+    assert np.all(np.isfinite(ens.terminal[~blows]))
+    assert np.all(np.abs(ens.terminal[~blows]) < 10.0)

@@ -47,6 +47,14 @@ class TestGridFunction:
         g = GridFunction.from_callable(lambda x: 2.0 * x, -1, 1, 21, extension="constant")
         assert g(np.array([3.0]))[0] == pytest.approx(2.0)
 
+    def test_flat_edge_holds_its_value_at_infinity(self):
+        # a zero edge slope must not compute 0 * inf
+        g = GridFunction(-1.0, 1.0, 5, np.array([2.0, 0.0, 1.0, 0.5, 0.5]))
+        assert g.edge_slopes()[1] == 0.0
+        assert np.array_equal(g(np.array([np.inf, 7.0])), [0.5, 0.5])
+        assert np.array_equal(g(np.array([-np.inf])), [np.inf])
+        assert np.array_equal(GridFunction(-1, 1, 5, np.zeros(5))(np.array([np.inf, -np.inf])), [0.0, 0.0])
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             GridFunction(0.0, 1.0, 2, np.zeros(2))
@@ -274,6 +282,10 @@ class TestZvonkin:
         with pytest.raises(ContractionError) as err:
             build_zvonkin(preset("ou_singular"), lam=1.0, grid=(-10, 10, 1001))
         assert err.value.sup_u is not None
+
+    def test_empty_lambda_search_refused(self):
+        with pytest.raises(ParameterError, match="lam_start = 4.0, lam_cap = 2.0"):
+            build_zvonkin(preset("ou_singular"), grid=(-10, 10, 101), lam_start=4.0, lam_cap=2.0)
 
     def test_transform_smooths_drift_and_keeps_dissipativity(self):
         p = preset("ou_singular")

@@ -15,8 +15,16 @@ times and marks with per-path offsets).  Each base step takes one substep over
 all paths; the paths that jump in it are spliced by one g call, and only those
 still short of the step's end substep again.  While every path lives and no
 large jump falls in a base step, its substep takes one scalar step length and
-no alive mask.  The band jumps of a substep are one flat draw over all paths,
-summed per path with ``np.bincount``.
+no alive mask.
+
+The band jumps of a base step are one draw over all W paths: a Poisson(rate dt
+W) total, a uniform owning path for each, and their marks.  A path with a
+large jump in the step gives each of its band jumps a uniform time; those
+before the jump enter the full-width substep, the rest the substep that
+follows the splice, at the post-jump state.  A substep sums its band jumps
+per path with ``np.bincount``: sigma_bar(t, x) times the mark sums when the
+problem declares g = sigma_bar z (checked on probe points), else g at the
+owners' states.
 
 Determinism: every simulation is keyed by a seed (int or SeedSequence) from
 which a (flow, jumps) stream pair is derived; the ensemble keys chunk i of
@@ -141,6 +149,9 @@ class _SmallJumpBand:
         self.big_r = p.levy.big_jump_radius
         self.sampler = ShellSampler(p.levy, self.eps, self.big_r)
         self.gauss = cfg.gaussian_correction
+        # g = sigma_bar z (checked by _Engine): a band sum is sigma_bar times the
+        # sum of the marks, with no g call per band jump
+        self.multiplicative = p.jump is not None and p.sigma_bar is not None
         # odd jump coefficients against the symmetric measure have a vanishing
         # band compensator; probed numerically once
         self.odd = self._probe_odd(p)
@@ -167,6 +178,14 @@ class _SmallJumpBand:
                 return False
         return True
 
+    def draw(self, W, dt, rng):
+        """The band jumps of W paths over one step of length dt, as (owner, marks):
+        a Poisson(rate dt W) total, each jump owned by a uniform path, marks (N, d)."""
+        n = int(rng.poisson(self.sampler.rate * dt * W))
+        if not n:
+            return np.empty(0, dtype=np.int64), np.empty((0, self.model.dim))
+        return rng.integers(0, W, n), self.sampler.marks(n, rng)
+
     def compensator(self, t, x):
         """int_{eps<=|z|<R} g(t,x,z) nu(dz), zero for odd g (symmetric nu)."""
         if self.odd:
@@ -174,10 +193,67 @@ class _SmallJumpBand:
         return self.rule.integrate(self.p.g_pairs(t, x, self.rule.nodes)).reshape(np.shape(x))
 
 
+def _check_multiplicative(p):
+    """Refuse a declared sigma_bar that does not give g(t, x, z) = sigma_bar(t, x) z
+    on probe points: the exact_stable step and the band sum use it in place of g."""
+    probe_x = np.array([0.3, -0.7, 1.9])
+    if p.dim > 1:
+        probe_x = np.tile(probe_x[:, None], (1, p.dim))
+    for t in (0.0, 1.0):
+        sb = np.asarray(p.sigma_bar(t, probe_x), dtype=float).reshape(len(probe_x), 1)
+        for z in (0.2, -1.7):
+            zz = np.full_like(probe_x, z)
+            got = p.g(t, probe_x, zz).reshape(len(probe_x), -1)
+            want = sb * zz.reshape(len(probe_x), -1)
+            if not np.allclose(got, want, rtol=1e-9, atol=1e-12):
+                raise ParameterError(
+                    f"the jump coefficient is not sigma_bar(t, x) * z: at t={t}, z={z} "
+                    f"g gives {got.ravel()}, sigma_bar * z gives {want.ravel()}"
+                )
+
+
+def _defer(step_jumps, next_jump, t0, t1, rng):
+    """Split a step's band draw at the large-jump times ``next_jump``.
+
+    The band jumps of the paths with a large jump in [t0, t1] get uniform
+    times in the step.  Those at or after their path's jump are returned apart
+    as (owner, marks, times), for ``_take``; the rest stay for the full pass.
+    """
+    owner, marks = step_jumps
+    hit = (next_jump <= t1)[owner].nonzero()[0]
+    if not len(hit):
+        return step_jumps, None
+    tb = t0 + (t1 - t0) * rng.random(len(hit))
+    late = tb >= next_jump[owner[hit]]
+    hit, tb = hit[late], tb[late]
+    keep = np.ones(len(owner), dtype=bool)
+    keep[hit] = False
+    # integer takes: a boolean mask on the (N, d) marks is several times slower
+    kept = keep.nonzero()[0]
+    return (owner[kept], marks.take(kept, axis=0)), (owner[hit], marks.take(hit, axis=0), tb)
+
+
+def _take(later, rows, next_jump, target):
+    """The deferred band jumps of a pass over ``rows`` (sorted paths, each just
+    spliced) up to each row's next stop, owners as row positions, and those
+    still deferred.  Jumps of paths that step no further in this step lapse."""
+    if later is None or not len(later[0]):
+        return None, None
+    owner, marks, tb = later
+    pos = np.minimum(np.searchsorted(rows, owner), len(rows) - 1)
+    stop = next_jump[owner]
+    going = rows[pos] == owner
+    now = going & ((tb < stop) | (stop > target))
+    rest = going & ~now
+    return (pos[now], marks[now]), (owner[rest], marks[rest], tb[rest])
+
+
 class _Engine:
     """Vectorized stepping over one chunk of paths."""
 
     def __init__(self, p, cfg, record=False, snapshot_times=None, integrand=None, absorb=None):
+        if p.jump is not None and p.sigma_bar is not None:
+            _check_multiplicative(p)
         self.p = p
         self.cfg = cfg
         self.record = record
@@ -203,11 +279,13 @@ class _Engine:
         out = np.asarray(self.integrand(t, x_arg), dtype=float)
         return out[:, None] if out.ndim == 1 else out
 
-    def substep(self, X, t, dtv, rng, alive):
+    def substep(self, X, t, dtv, rng, alive, band_jumps=None):
         """One Euler substep over interval lengths dtv (frozen state).
 
         ``dtv`` is one float when every path steps alike, else one length per
         path; ``alive`` masks out dead paths, None when every path lives.
+        ``band_jumps`` is the (owner, marks) of the band jumps in the substep,
+        owners indexing rows of X, drawn by the caller; None for none.
         """
         p = self.p
         W, d = X.shape
@@ -238,21 +316,22 @@ class _Engine:
             upd += sb[:, None] * scale * dl
         elif self.band is not None and self.band.active:
             band = self.band
-            # all band jumps of the substep in one flat draw, summed per owning
-            # path; size=W makes a scalar rate draw the stream a vector one does
-            counts = rng.poisson(band.sampler.rate * dtv, size=W)
-            n = int(counts.sum())
-            if n:
-                owner = np.arange(W).repeat(counts)
-                marks = band.sampler.marks(n, rng)
-                gval = p.g(t, x_arg[owner], marks[:, 0] if d == 1 else marks).reshape(n, d)
+            jumped = band_jumps is not None and len(band_jumps[0])
+            if band.gauss or (band.multiplicative and jumped):
+                sb = np.asarray(p.sigma_bar(t, x_arg), dtype=float).reshape(W)
+            if jumped:
+                # sum the band jumps per owning path: sigma_bar times the mark
+                # sums, or g at the owners' states
+                owner, marks = band_jumps
+                if not band.multiplicative:
+                    marks = p.g(t, x_arg[owner], marks[:, 0] if d == 1 else marks).reshape(len(owner), d)
                 for j in range(d):
-                    upd[:, j] += np.bincount(owner, weights=gval[:, j], minlength=W)
+                    s_j = np.bincount(owner, weights=marks[:, j], minlength=W)
+                    upd[:, j] += sb * s_j if band.multiplicative else s_j
             comp = band.compensator(t, x_arg)
             if comp is not None:
                 upd -= np.reshape(comp, (W, d)) * dtc
             if band.gauss:
-                sb = np.asarray(p.sigma_bar(t, x_arg), dtype=float).reshape(W)
                 var = sb**2 * band.gauss_var_unit
                 upd += np.sqrt(var * dtv)[:, None] * rng.standard_normal((W, d))
 
@@ -331,10 +410,18 @@ class _Engine:
         next_due = float(next_jump.min(initial=np.inf))
         t_prev = float(grid[0])
         every = slice(None)
+        band = self.band if self.band is not None and self.band.active else None
         for k in range(1, len(grid)):
             target = float(grid[k])
             spliced = next_due <= target
             rows = every
+            # the band jumps of the whole step are one draw; those of a path at
+            # or after its large jump wait for the pass that follows the splice
+            step_jumps = later = None
+            if band is not None:
+                step_jumps = band.draw(W, target - t_prev, rng)
+                if spliced:
+                    step_jumps, later = _defer(step_jumps, next_jump, t_prev, target, rng)
             while True:
                 if rows is every:
                     t, live = t_prev, (alive if n_dead else None)
@@ -345,7 +432,8 @@ class _Engine:
                 else:
                     t, live = float(t_rows.min()), None
                     dtv = np.maximum(np.minimum(next_jump[rows], target) - t_rows, 0.0)
-                step = self.substep(X[rows], t, dtv, rng, live)
+                    step_jumps, later = _take(later, rows, next_jump, target)
+                step = self.substep(X[rows], t, dtv, rng, live, step_jumps)
                 # the full-width pass rebinds X: copying into it made an
                 # exact_stable run of 32768 paths 25-30% slower
                 if rows is every:

@@ -216,7 +216,10 @@ class ShellSampler:
             self._fine, self._mass = fine, mass
 
     def radii(self, n, rng):
-        u = rng.random(n)
+        return self._radii(rng.random(n))
+
+    def _radii(self, u):
+        # inverse CDF at uniforms u in [0, 1): finite even for r2 = inf
         if self.model.kind == "isotropic_stable":
             a = self.model.alpha
             lo, hi = self.r1 ** (-a), self.r2 ** (-a)
@@ -226,10 +229,17 @@ class ShellSampler:
         return np.interp(u * self._mass[-1], self._mass, self._fine)
 
     def marks(self, n, rng):
-        """n marks, shape (n, dim): radii first, then directions."""
-        radii = self.radii(n, rng)
+        """n marks, shape (n, dim).
+
+        In d = 1 one uniform u gives both: the sign of u - 1/2, and the radius
+        at 2u - 1{u >= 1/2}, which is exact and stays in [0, 1), so a shell
+        out to r2 = inf gives no infinite mark.  In d >= 2 the radii come
+        first, then the directions.
+        """
         if self.model.dim == 1:
-            return (radii * np.where(rng.random(n) < 0.5, -1.0, 1.0))[:, None]
+            u = rng.random(n)
+            return np.copysign(self._radii(2.0 * u - (u >= 0.5)), u - 0.5)[:, None]
+        radii = self.radii(n, rng)
         v = rng.standard_normal((n, self.model.dim))
         return radii[:, None] * v / np.linalg.norm(v, axis=1, keepdims=True)
 

@@ -1,12 +1,14 @@
 """Path-engine tests: oracles for moments, splice exactness, determinism."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from levylab.levy_noise import LevyModel, sample_large_jumps, tail_mass
+from levylab.errors import ParameterError
+from levylab.levy_noise import JumpTrain, LevyModel, sample_large_jumps, tail_mass
 from levylab.integrator import (
     PathSample,
     StepConfig,
@@ -287,6 +289,68 @@ def test_flat_band_draw_matches_closed_form_variance():
         assert abs(np.mean(incr)) < 4.0 * np.sqrt(var / n)
 
 
+@pytest.mark.parametrize("declare_sigma_bar", [False, True])
+def test_band_jumps_split_at_the_large_jump_time(declare_sigma_bar):
+    # one step of length dt, g(x, z) = x z in the band and z beyond R, and
+    # large jumps placed by hand.  With S_k the band sum over the k-th stretch
+    # between large jumps (variance v_k = length * int_band z^2 nu):
+    #   x0 = 1, no jump:                       X = 1 + S_1
+    #   x0 = 0, jump +1 at 0.4 dt:             X = 1 + S_2
+    #   x0 = 1, jump +1 at 0.4 dt:             X = (2 + S_1)(1 + S_2)
+    #   x0 = 0, jumps +1 at 0.3 dt and 0.7 dt: X = (2 + S_2)(1 + S_3)
+    # Band jumps after the jump dropped, read at the pre-jump state, or taken
+    # in both passes each move a mean or a second moment by many SE.
+    # Declaring sigma_bar = x (g = x z throughout) gives the band sum
+    # sigma_bar * sum(z), and the large jump then multiplies: group 3 becomes
+    # X = 2 (1 + S_1)(1 + S_2), group 4 stays 0.
+    dt, n, eps = 0.05, 10_000, M15.big_jump_radius / 32.0
+    if declare_sigma_bar:
+        p = problem_1d(g=lambda x, z: x * z, levy=M15, sigma_bar=lambda x: x)
+    else:
+        p = problem_1d(g=lambda x, z: np.where(np.abs(z) < 1.0, x * z, z), levy=M15)
+    x0 = np.repeat([1.0, 0.0, 1.0, 0.0], n)
+    per_path = [[]] * n + [[0.4]] * n + [[0.4]] * n + [[0.3, 0.7]] * n
+    counts = np.array([len(j) for j in per_path])
+    times = dt * np.array([t for j in per_path for t in j])
+    train = JumpTrain(times, np.ones((len(times), 1)), np.concatenate([[0], np.cumsum(counts)]))
+    res = _Engine(p, StepConfig(dt=dt)).run(x0[:, None], 0.0, dt, np.random.default_rng(5), train)
+    x = res["X"][:, 0].reshape(4, n)
+    k2 = tail_mass(M15, eps, 1.0, 2.0)
+    v = lambda frac: frac * dt * k2
+    if declare_sigma_bar:
+        want = [(1.0, 1.0 + v(1.0)), (0.0, 0.0), (2.0, 4.0 * (1.0 + v(0.4)) * (1.0 + v(0.6))), (0.0, 0.0)]
+    else:
+        want = [
+            (1.0, 1.0 + v(1.0)),
+            (1.0, 1.0 + v(0.6)),
+            (2.0, (4.0 + v(0.4)) * (1.0 + v(0.6))),
+            (2.0, (4.0 + v(0.4)) * (1.0 + v(0.3))),
+        ]
+    for xs, (m1, m2) in zip(x, want):
+        assert abs(xs.mean() - m1) <= 4.0 * xs.std() / np.sqrt(n) + 1e-12
+        assert abs(np.mean(xs**2) - m2) <= 4.0 * np.std(xs**2) / np.sqrt(n) + 1e-12
+
+
+def test_sigma_bar_band_sum_equals_the_g_call():
+    # the same draws summed as sigma_bar * sum(z) and as sum(g(x, z)): the
+    # same paths up to rounding, on a run that splices in most steps
+    p = preset("mixing_jump")
+    a = simulate_ensemble(p, 0.5, 1.0, StepConfig(dt=1e-2), 2048, 17)
+    b = simulate_ensemble(replace(p, sigma_bar=None), 0.5, 1.0, StepConfig(dt=1e-2), 2048, 17)
+    assert a.terminal.tobytes() != b.terminal.tobytes()
+    np.testing.assert_allclose(a.terminal, b.terminal, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("exact_stable", [False, True])
+def test_inconsistent_sigma_bar_is_refused(exact_stable):
+    # sigma_bar stands in for g in the band sum and in exact_stable mode
+    p = problem_1d(g=lambda x, z: x * z, levy=M15, sigma_bar=lambda x: 2.0 * x)
+    with pytest.raises(ParameterError, match="sigma_bar"):
+        simulate_ensemble(p, 1.0, 0.1, StepConfig(dt=1e-2, exact_stable=exact_stable), 4, 1)
+    ok = problem_1d(g=lambda x, z: 2.0 * x * z, levy=M15, sigma_bar=lambda x: 2.0 * x)
+    simulate_ensemble(ok, 1.0, 0.1, StepConfig(dt=1e-2, exact_stable=exact_stable), 4, 1)
+
+
 def test_jump_coefficient_calls_do_not_grow_with_path_count():
     # the band and the splice each call g once per substep over all their
     # paths; a per-path loop would make the count grow with the path count
@@ -344,8 +408,13 @@ def test_lean_substep_matches_the_masked_call(case):
     W, dt = 64, 0.01
     X = np.linspace(-2.0, 2.0, W)[:, None]
     lean_rng, full_rng = np.random.default_rng(11), np.random.default_rng(11)
-    lean = eng.substep(X, 0.3, dt, lean_rng, None)
-    full = eng.substep(X, 0.3, np.full(W, dt), full_rng, np.ones(W, dtype=bool))
+
+    def band_draw(rng):
+        # the base step's band draw, made by the run loop before its substeps
+        return eng.band.draw(W, dt, rng) if eng.band is not None and eng.band.active else None
+
+    lean = eng.substep(X, 0.3, dt, lean_rng, None, band_draw(lean_rng))
+    full = eng.substep(X, 0.3, np.full(W, dt), full_rng, np.ones(W, dtype=bool), band_draw(full_rng))
     assert np.all(lean != X)
     assert lean.tobytes() == full.tobytes()
     assert lean_rng.bit_generator.state == full_rng.bit_generator.state

@@ -246,3 +246,36 @@ def test_shell_sampler_follows_the_table_on_each_shell():
         se = np.sqrt((m2 / m0 - (m1 / m0) ** 2) / len(r))
         assert abs(r.mean() - m1 / m0) < 4.0 * se
         assert r.min() >= r1 and r.max() <= min(r2, 4.0)
+
+
+class _ConstantUniforms:
+    """A generator stub whose uniforms all equal one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, n):
+        return np.full(n, self.value)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)])
+def test_one_uniform_marks_stay_finite_out_to_infinity(u):
+    # the d = 1 radius uniform 2u - 1{u >= 1/2} stays in [0, 1), so the shell
+    # [R, inf) of the large jumps never inverts to an infinite radius
+    z = M15.large_jumps.marks(4, _ConstantUniforms(u))
+    assert z.shape == (4, 1)
+    assert np.all(np.isfinite(z)) and np.all(np.abs(z) >= 1.0)
+    assert np.all(np.sign(z) == (1.0 if u >= 0.5 else -1.0))
+
+
+@pytest.mark.parametrize("r1, r2", [(1.0 / 32.0, 1.0), (1.0, np.inf)])
+def test_one_uniform_marks_have_symmetric_signs_and_the_shell_radius_law(r1, r2):
+    z = ShellSampler(M15, r1, r2).marks(200_000, np.random.default_rng(8))[:, 0]
+    n = len(z)
+    assert abs(np.mean(z > 0) - 0.5) < 4.0 * np.sqrt(0.25 / n)
+    # closed-form CDF of |z| on the shell, nu(dz) = |z|^(-1-alpha) dz
+    a = M15.alpha
+    cdf = lambda r: (r1**-a - np.asarray(r) ** -a) / (r1**-a - r2**-a)
+    # the radius law holds on each sign alone: a sign-radius coupling shows here
+    for side in (z[z > 0], -z[z < 0]):
+        assert stats.kstest(side, cdf).pvalue > 1e-3

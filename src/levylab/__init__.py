@@ -5,6 +5,7 @@ Subpackages by theme:
 - ``levy_noise``      samplers and integral evaluators for the driving noise
 - ``sde_model``       coefficient triples, hypothesis audits, presets
 - ``integrator``      path simulation (small-jump flow, interlacing, ensembles)
+- ``jump_grid``       blocks of base steps laid out over each path's jump-adapted grid
 - ``pide_zvonkin``    1D integro-differential solvers and the drift-removing map
 - ``ergodicity``      invariant measures, Lyapunov margins, TV decay rates
 - ``density_lab``     reference stable densities, KDE, kernel bound checks

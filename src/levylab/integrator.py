@@ -11,20 +11,27 @@ symmetry), bypassing the interlacing split entirely.
 
 Array layout: the large jumps of W paths over [0, T) are one Poisson process
 on [0, W T) whose i-th window belongs to path i, held as a ``JumpTrain`` (flat
-times and marks with per-path offsets).  Each base step takes one substep over
-all paths; the paths that jump in it are spliced by one g call, and only those
-still short of the step's end substep again.  While every path lives and no
-large jump falls in a base step, its substep takes one scalar step length and
-no alive mask.
+times and marks with per-path offsets).  They are drawn before the paths are
+stepped, so ``_Engine.run`` lays out each block of B base steps (B W <=
+``BLOCK_CELLS``, cut at every snapshot time) as a ``jump_grid.Block``: pass j
+moves every path over the j-th interval of its own jump-adapted grid, so a
+path that jumped runs one pass behind, and catch-up passes go over the paths
+with more jumps in the block.  After each pass one g call splices the paths
+whose interval ended at a large jump.  Until the block's first jump every
+path stands on the base step and a pass takes one scalar time and step
+length; after it the coefficients get each row's own time as an array.
+While every path lives no pass takes an alive mask.
 
-The band jumps of a base step are one draw over all W paths: a Poisson(rate dt
-W) total, a uniform owning path for each, and their marks.  A path with a
-large jump in the step gives each of its band jumps a uniform time; those
-before the jump enter the full-width substep, the rest the substep that
-follows the splice, at the post-jump state.  A substep sums its band jumps
-per path with ``np.bincount``: sigma_bar(t, x) times the mark sums when the
-problem declares g = sigma_bar z (checked on probe points), else g at the
-owners' states.
+Noise comes block by block, one call per kind over the block's cells (one cell
+per path and pass): the Brownian normals, the ``exact_stable`` increments, the
+Gaussian-correction normals, then the band eps <= |z| < R as a Poisson total
+over the cells, a uniform owning cell for each jump and the marks.  A jump in a
+cell shorter than the block's longest base step stays with probability
+length / step (thinning).  A pass adds sigma_bar(t, x) times its cells' mark
+sums when the problem has g = sigma_bar z (checked on probe points), else g at
+the owners' states summed per row with ``np.bincount``.  One normal draw of
+B W rows is the stream of B draws of W rows, so a run whose only noise is
+Brownian draws as a step-by-step loop would.
 
 Determinism: every simulation is keyed by a seed (int or SeedSequence) from
 which a (flow, jumps) stream pair is derived; the ensemble keys chunk i of
@@ -45,6 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from levylab.errors import ParameterError, TruncationError
+from levylab.jump_grid import BLOCK_CELLS, WHOLE, Block
 from levylab.levy_noise import ShellSampler, levy_constant, sample_large_jumps, shell_rule, tail_mass, _stable_increments
 
 __all__ = [
@@ -140,9 +148,6 @@ class _SmallJumpBand:
     """Per-problem machinery for the compensated band eps <= |z| < R."""
 
     def __init__(self, p, cfg):
-        self.active = p.has_jumps
-        if not self.active:
-            return
         self.p = p
         self.model = p.levy
         self.eps = cfg.cutoff(p.levy)
@@ -151,7 +156,7 @@ class _SmallJumpBand:
         self.gauss = cfg.gaussian_correction
         # g = sigma_bar z (checked by _Engine): a band sum is sigma_bar times the
         # sum of the marks, with no g call per band jump
-        self.multiplicative = p.jump is not None and p.sigma_bar is not None
+        self.multiplicative = p.sigma_bar is not None
         # odd jump coefficients against the symmetric measure have a vanishing
         # band compensator; probed numerically once
         self.odd = self._probe_odd(p)
@@ -178,13 +183,35 @@ class _SmallJumpBand:
                 return False
         return True
 
-    def draw(self, W, dt, rng):
-        """The band jumps of W paths over one step of length dt, as (owner, marks):
-        a Poisson(rate dt W) total, each jump owned by a uniform path, marks (N, d)."""
-        n = int(rng.poisson(self.sampler.rate * dt * W))
-        if not n:
-            return np.empty(0, dtype=np.int64), np.empty((0, self.model.dim))
-        return rng.integers(0, W, n), self.sampler.marks(n, rng)
+    def cells(self, n_cells, unit, lengths, rng, work):
+        """The band jumps of ``n_cells`` cells, each at most ``unit`` long.
+
+        A Poisson(rate unit n_cells) total, a uniform owning cell for each and
+        their marks; a jump in a cell shorter than the unit (``lengths``, None
+        when every cell is whole) stays with probability length / unit.  Returns
+        the per-cell mark sums (n_cells, d) when g = sigma_bar z, else the
+        (cell, marks) of the jumps sorted by cell.  ``work`` (a ``_Work``)
+        lends the marks their buffer.
+        """
+        n = int(rng.poisson(self.sampler.rate * unit * n_cells))
+        cell = rng.integers(0, n_cells, n)
+        marks = self.sampler.marks(n, rng, work("marks", n))
+        if lengths is not None and n:
+            short = (lengths < unit * WHOLE)[cell].nonzero()[0]
+            if len(short):
+                drop = short[rng.random(len(short)) * unit >= lengths[cell[short]]]
+                if self.multiplicative:
+                    marks[drop] = 0.0
+                else:
+                    keep = np.ones(n, dtype=bool)
+                    keep[drop] = False
+                    cell, marks = cell[keep], marks[keep]
+        if self.multiplicative:
+            sums = [np.bincount(cell, weights=marks[:, j], minlength=n_cells) for j in range(self.model.dim)]
+            return sums[0][:, None] if len(sums) == 1 else np.stack(sums, axis=1)
+        # a stable sort keeps each cell's jumps in draw order; 16-bit keys sort by radix
+        order = np.argsort(cell.astype(np.uint16) if n_cells <= 1 << 16 else cell, kind="stable")
+        return cell[order], marks[order]
 
     def compensator(self, t, x):
         """int_{eps<=|z|<R} g(t,x,z) nu(dz), zero for odd g (symmetric nu)."""
@@ -212,40 +239,18 @@ def _check_multiplicative(p):
                 )
 
 
-def _defer(step_jumps, next_jump, t0, t1, rng):
-    """Split a step's band draw at the large-jump times ``next_jump``.
+class _Work:
+    """Float buffers that one run lends to every block: the draws of a block
+    then land on memory the run already touched, not on fresh pages."""
 
-    The band jumps of the paths with a large jump in [t0, t1] get uniform
-    times in the step.  Those at or after their path's jump are returned apart
-    as (owner, marks, times), for ``_take``; the rest stay for the full pass.
-    """
-    owner, marks = step_jumps
-    hit = (next_jump <= t1)[owner].nonzero()[0]
-    if not len(hit):
-        return step_jumps, None
-    tb = t0 + (t1 - t0) * rng.random(len(hit))
-    late = tb >= next_jump[owner[hit]]
-    hit, tb = hit[late], tb[late]
-    keep = np.ones(len(owner), dtype=bool)
-    keep[hit] = False
-    # integer takes: a boolean mask on the (N, d) marks is several times slower
-    kept = keep.nonzero()[0]
-    return (owner[kept], marks.take(kept, axis=0)), (owner[hit], marks.take(hit, axis=0), tb)
+    def __init__(self):
+        self.bufs = {}
 
-
-def _take(later, rows, next_jump, target):
-    """The deferred band jumps of a pass over ``rows`` (sorted paths, each just
-    spliced) up to each row's next stop, owners as row positions, and those
-    still deferred.  Jumps of paths that step no further in this step lapse."""
-    if later is None or not len(later[0]):
-        return None, None
-    owner, marks, tb = later
-    pos = np.minimum(np.searchsorted(rows, owner), len(rows) - 1)
-    stop = next_jump[owner]
-    going = rows[pos] == owner
-    now = going & ((tb < stop) | (stop > target))
-    rest = going & ~now
-    return (pos[now], marks[now]), (owner[rest], marks[rest], tb[rest])
+    def __call__(self, name, n):
+        buf = self.bufs.get(name)
+        if buf is None or len(buf) < n:
+            buf = self.bufs[name] = np.empty(n + n // 4)
+        return buf[:n]
 
 
 class _Engine:
@@ -271,7 +276,7 @@ class _Engine:
             self.exact_scale = levy_constant(p.levy.dim, p.levy.alpha)
             self.band = None
         else:
-            self.band = _SmallJumpBand(p, cfg)
+            self.band = _SmallJumpBand(p, cfg) if p.has_jumps else None
 
     def _eval_f(self, t, X):
         # integrands may be vector-valued: (W,) or (W, m) accepted
@@ -279,85 +284,102 @@ class _Engine:
         out = np.asarray(self.integrand(t, x_arg), dtype=float)
         return out[:, None] if out.ndim == 1 else out
 
-    def substep(self, X, t, dtv, rng, alive, band_jumps=None):
-        """One Euler substep over interval lengths dtv (frozen state).
+    def draw(self, n_cells, unit, lengths, rng, work):
+        """The noise of ``n_cells`` cells, one call per kind in this order: the
+        Brownian normals, the exact_stable increments, the Gaussian-correction
+        normals and the band (``_SmallJumpBand.cells``); None for a kind the
+        scheme lacks.  The normals and the marks go into the buffers of
+        ``work``, a run's ``_Work``."""
+        p, d = self.p, self.p.dim
 
-        ``dtv`` is one float when every path steps alike, else one length per
-        path; ``alive`` masks out dead paths, None when every path lives.
-        ``band_jumps`` is the (owner, marks) of the band jumps in the substep,
-        owners indexing rows of X, drawn by the caller; None for none.
+        def normals(name):
+            return rng.standard_normal(out=work(name, n_cells * d).reshape(n_cells, d))
+
+        z = normals("z") if p.sigma is not None else None
+        dl = _stable_increments(p.levy.alpha, d, 1.0, n_cells, rng) if self.exact else None
+        band = self.band
+        gz = normals("gz") if band is not None and band.gauss else None
+        jumps = band.cells(n_cells, unit, lengths, rng, work) if band is not None else None
+        return z, dl, gz, jumps
+
+    def noise_of(self, noise, lo, hi):
+        """The noise of cells lo:hi, for a substep over those cells in order."""
+        z, dl, gz, jumps = noise
+        if jumps is not None and not isinstance(jumps, np.ndarray):
+            cell, marks = jumps
+            a, b = np.searchsorted(cell, (lo, hi))
+            jumps = (cell[a:b] - lo, marks[a:b])
+        else:
+            jumps = None if jumps is None else jumps[lo:hi]
+        return tuple(None if v is None else v[lo:hi] for v in (z, dl, gz)) + (jumps,)
+
+    def substep(self, X, t, h, alive, noise):
+        """One Euler substep (frozen state) of length h from time t.
+
+        ``t`` and ``h`` are floats when every row steps alike, else one per
+        row; ``alive`` masks out dead rows, None when every row lives.
+        ``noise`` is the (normals, stable increments, correction normals, band)
+        of the rows' cells from ``noise_of``: the band as per-row mark sums when
+        g = sigma_bar z, else as (row, marks) of its jumps.
         """
         p = self.p
         W, d = X.shape
+        z, dl, gz, jumps = noise
         if alive is not None:
-            dtv = np.where(alive, dtv, 0.0)
+            h = np.where(alive, h, 0.0)
             X_in, X = X, np.where(alive[:, None], X, 0.0)
         x_arg = X[:, 0] if d == 1 else X
-        dtc = dtv[:, None] if isinstance(dtv, np.ndarray) else dtv
+        # each row's own time, shaped to broadcast against x_arg
+        tx = t[:, None] if d > 1 and isinstance(t, np.ndarray) else t
+        hc = h[:, None] if isinstance(h, np.ndarray) else h
         upd = np.zeros((W, d))
 
         # singular coefficients carry their own |x| v eps floor (sign(0) = 0
         # semantics); an engine-side floor would kick exact-zero states
-        upd += p.b(t, x_arg).reshape(W, d) * dtc
+        upd += p.b(tx, x_arg).reshape(W, d) * hc
 
         if p.sigma is not None:
-            z = rng.standard_normal((W, d))
-            sig = np.asarray(p.sigma_eval(t, x_arg), dtype=float)
-            root = np.sqrt(dtc)
+            sig = np.asarray(p.sigma_eval(tx, x_arg), dtype=float)
+            root = np.sqrt(hc)
             if sig.ndim <= 1:
                 upd += sig.reshape(W, 1) * root * z
             else:
                 upd += np.einsum("nij,nj->ni", sig, z) * root
 
         if self.exact:
-            dl = _stable_increments(p.levy.alpha, d, 1.0, W, rng)
-            scale = (self.exact_scale * dtc) ** (1.0 / p.levy.alpha)
-            sb = np.asarray(p.sigma_bar(t, x_arg), dtype=float).reshape(W)
+            scale = (self.exact_scale * hc) ** (1.0 / p.levy.alpha)
+            sb = np.asarray(p.sigma_bar(tx, x_arg), dtype=float).reshape(W)
             upd += sb[:, None] * scale * dl
-        elif self.band is not None and self.band.active:
+        elif self.band is not None:
             band = self.band
-            jumped = band_jumps is not None and len(band_jumps[0])
+            if band.multiplicative:
+                jumped = jumps.any()
+            else:
+                owner, marks = jumps
+                jumped = len(owner) > 0
             if band.gauss or (band.multiplicative and jumped):
-                sb = np.asarray(p.sigma_bar(t, x_arg), dtype=float).reshape(W)
-            if jumped:
-                # sum the band jumps per owning path: sigma_bar times the mark
-                # sums, or g at the owners' states
-                owner, marks = band_jumps
-                if not band.multiplicative:
-                    marks = p.g(t, x_arg[owner], marks[:, 0] if d == 1 else marks).reshape(len(owner), d)
+                sb = np.asarray(p.sigma_bar(tx, x_arg), dtype=float).reshape(W)
+            if jumped and band.multiplicative:
+                upd += sb[:, None] * jumps
+            elif jumped:
+                # g at the owners' states, summed per owning row
+                to = tx[owner] if isinstance(tx, np.ndarray) else tx
+                g = p.g(to, x_arg[owner], marks[:, 0] if d == 1 else marks).reshape(len(owner), d)
                 for j in range(d):
-                    s_j = np.bincount(owner, weights=marks[:, j], minlength=W)
-                    upd[:, j] += sb * s_j if band.multiplicative else s_j
+                    upd[:, j] += np.bincount(owner, weights=g[:, j], minlength=W)
             comp = band.compensator(t, x_arg)
             if comp is not None:
-                upd -= np.reshape(comp, (W, d)) * dtc
+                upd -= np.reshape(comp, (W, d)) * hc
             if band.gauss:
                 var = sb**2 * band.gauss_var_unit
-                upd += np.sqrt(var * dtv)[:, None] * rng.standard_normal((W, d))
+                upd += np.sqrt(var * h)[:, None] * gz
 
         if alive is None:
             return X + upd
         return np.where(alive[:, None], X_in + upd, X_in)
 
-    def run(self, x0, t0, t1, rng, jumps=None):
-        """Advance paths x0 (W, d) from t0 to t1; ``jumps`` is a W-path JumpTrain or None."""
-        p = self.p
-        X = np.array(x0, dtype=float, copy=True)
-        W, d = X.shape
-        exploded_at = np.full(W, np.nan)
-        absorbed_at = np.full(W, np.nan)
-        alive = np.ones(W, dtype=bool)
-
-        # per-path cursor into the flat jump arrays; after[i] is the time of the
-        # jump that follows entry i on its path (inf after the path's last)
-        next_jump = np.full(W, np.inf)
-        if jumps is not None and len(jumps):
-            cursor, ends = jumps.offsets[:-1].copy(), jumps.offsets[1:]
-            owns = ends > cursor
-            after = np.append(jumps.times[1:], np.inf)
-            after[ends[owns] - 1] = np.inf
-            next_jump[owns] = jumps.times[cursor[owns]]
-
+    def _grid(self, t0, t1):
+        """The base grid from t0 to t1 and the grid index of each snapshot time."""
         n_steps = int(math.ceil((t1 - t0) / self.cfg.dt - 1e-12)) if t1 > t0 else 0
         if n_steps > self.cfg.max_steps:
             raise TruncationError(
@@ -366,16 +388,46 @@ class _Engine:
         grid = t0 + self.cfg.dt * np.arange(n_steps + 1)
         if n_steps:
             grid[-1] = t1
-        snap_keys = {}
+        snap_at = {}
         if self.snapshot_times is not None:
             sel = self.snapshot_times[(self.snapshot_times > t0) & (self.snapshot_times <= t1)]
             grid = np.union1d(grid, sel)
             keep = np.concatenate([[True], np.diff(grid) > 1e-9 * self.cfg.dt])
             grid = grid[keep]
             for s in sel:
-                snap_keys[float(grid[np.argmin(np.abs(grid - s))])] = float(s)
+                snap_at[int(np.argmin(np.abs(grid - s)))] = float(s)
+        return grid, snap_at
+
+    def run(self, x0, t0, t1, rng, jumps=None):
+        """Advance paths x0 (W, d) from t0 to t1; ``jumps`` is a W-path JumpTrain
+        with times in [t0, t1], or None."""
+        p = self.p
+        X = np.array(x0, dtype=float, copy=True)
+        W, d = X.shape
+        exploded_at = np.full(W, np.nan)
+        absorbed_at = np.full(W, np.nan)
+        alive = np.ones(W, dtype=bool)
+        grid, snap_at = self._grid(t0, t1)
+        steps = np.diff(grid)
+        n_steps = len(steps)
+
+        # blocks of at most BLOCK_CELLS cells, cut at every snapshot point so
+        # that every path stands at each block's end
+        per_block = max(1, BLOCK_CELLS // W)
+        ends = sorted(set(range(per_block, n_steps, per_block)) | set(snap_at) | {n_steps})
+        # the large jumps block by block; a stable sort keeps them path by path
+        # and in time order within a path
+        if jumps is not None and len(jumps) and n_steps:
+            jpath = np.repeat(np.arange(W), np.diff(jumps.offsets))
+            jstep = np.maximum(np.searchsorted(grid, jumps.times) - 1, 0)
+            jblock = np.searchsorted(ends, jstep, side="right")
+            by_block = np.argsort(jblock, kind="stable")
+            first = np.searchsorted(jblock[by_block], np.arange(len(ends) + 1))
+        else:
+            by_block = None
 
         rec_times, rec_states, rec_isjump = [t0], [X.copy()], [False]
+        recording = self.record and W == 1
         snaps = {}
         f_prev = self._eval_f(t0, X) if self.integrand is not None else None
         integral = np.zeros_like(f_prev) if self.integrand is not None else None
@@ -385,111 +437,84 @@ class _Engine:
             if n:
                 record[rows] = np.where(hit, t_now, record[rows])
                 alive[rows] &= ~hit
-                # a dead path splices no more jumps
-                next_jump[rows] = np.where(hit, np.inf, next_jump[rows])
             return n
 
-        def check_explode(t_now, rows, Xr):
+        def check_explode(rows, Xr, when):
             """Kill the live paths of ``rows`` (states ``Xr``) that left the bound
-            (NaN fails its compare too) or the absorbing interval; returns how
-            many died."""
+            (NaN fails its compare too) or the absorbing interval, at the times
+            ``when()``; returns how many died."""
             inside = np.abs(Xr) <= EXPLOSION_BOUND
             died = 0
             if not inside.all():
-                died += kill(exploded_at, t_now, rows, alive[rows] & ~inside.all(axis=1))
+                died += kill(exploded_at, when(), rows, alive[rows] & ~inside.all(axis=1))
             if self.absorb is not None:
                 lo, hi = self.absorb
-                died += kill(absorbed_at, t_now, rows, alive[rows] & ((Xr[:, 0] <= lo) | (Xr[:, 0] >= hi)))
+                hit = alive[rows] & ((Xr[:, 0] <= lo) | (Xr[:, 0] >= hi))
+                if hit.any():
+                    died += kill(absorbed_at, when(), rows, hit)
             return died
 
-        # every live path starts each base step at t_prev.  n_dead and next_due
-        # (no live path jumps before it) keep the common step free of masks and
-        # per-path step lengths; a step with a jump in it carries the rows still
-        # to step and their times (each at its jump) from one pass to the next
+        work = _Work()
         n_dead = 0
-        next_due = float(next_jump.min(initial=np.inf))
-        t_prev = float(grid[0])
-        every = slice(None)
-        band = self.band if self.band is not None and self.band.active else None
-        for k in range(1, len(grid)):
-            target = float(grid[k])
-            spliced = next_due <= target
-            rows = every
-            # the band jumps of the whole step are one draw; those of a path at
-            # or after its large jump wait for the pass that follows the splice
-            step_jumps = later = None
-            if band is not None:
-                step_jumps = band.draw(W, target - t_prev, rng)
-                if spliced:
-                    step_jumps, later = _defer(step_jumps, next_jump, t_prev, target, rng)
-            while True:
-                if rows is every:
-                    t, live = t_prev, (alive if n_dead else None)
-                    if spliced:
-                        dtv = np.maximum(np.minimum(next_jump, target) - t_prev, 0.0)
-                    else:
-                        dtv = target - t_prev
-                else:
-                    t, live = float(t_rows.min()), None
-                    dtv = np.maximum(np.minimum(next_jump[rows], target) - t_rows, 0.0)
-                    step_jumps, later = _take(later, rows, next_jump, target)
-                step = self.substep(X[rows], t, dtv, rng, live, step_jumps)
+        k0 = 0
+        for b, k1 in enumerate(ends):
+            gb = grid[k0 : k1 + 1]
+            sel = () if by_block is None else by_block[first[b] : first[b + 1]]
+            if n_dead and len(sel):
+                sel = sel[alive[jpath[sel]]]
+            if len(sel):
+                block = Block(gb, steps[k0:k1], W, jpath[sel], jstep[sel] - k0, jumps.times[sel])
+            else:
+                block = Block(gb, steps[k0:k1], W)
+            noise = self.draw(block.n_cells, block.unit, block.lengths, rng, work)
+
+            for j in range(block.n_passes):
+                rows, lo, hi, t, h = block.row(j)
+                whole = isinstance(rows, slice)
+                live = (alive if whole else alive[rows]) if n_dead else None
+                step = self.substep(X if whole else X[rows], t, h, live, self.noise_of(noise, lo, hi))
                 # the full-width pass rebinds X: copying into it made an
                 # exact_stable run of 32768 paths 25-30% slower
-                if rows is every:
+                if whole:
                     X = step
                 else:
                     X[rows] = step
-                n_dead += check_explode(target, rows, step)
+                n_dead += check_explode(rows, step, lambda: block.step_end(j))
                 if integral is not None:
-                    f_new = self._eval_f(target, step)
-                    trap = 0.5 * (dtv[:, None] if isinstance(dtv, np.ndarray) else dtv) * (f_prev[rows] + f_new)
+                    f_new = self._eval_f(block.ends(j), step)
+                    trap = 0.5 * (h[:, None] if isinstance(h, np.ndarray) else h) * (f_prev[rows] + f_new)
                     acc = integral[rows] + trap
                     integral[rows] = np.where(alive[rows][:, None], acc, integral[rows]) if n_dead else acc
                     f_prev[rows] = f_new
-                if not spliced:
-                    break
-                jw = (next_jump <= target).nonzero()[0] if rows is every else rows[next_jump[rows] <= target]
-                if not len(jw):
-                    break
-                if self.record and W == 1:
-                    rec_times.append(float(next_jump[0]))
+
+                e = sel[block.spliced(j)] if len(sel) else ()
+                if n_dead and len(e):
+                    e = e[alive[jpath[e]]]
+                if recording:
+                    rec_times.append(float(np.ravel(block.ends(j))[0]))
                     rec_states.append(X.copy())
                     rec_isjump.append(False)
-                # the splice: one g call over every path that jumps in this step
-                at = cursor[jw]
-                tj, Xw = jumps.times[at], X[jw]
+                if not len(e):
+                    continue
+                # the splice: one g call over every path whose interval ends at its jump
+                jw, tj = jpath[e], jumps.times[e]
+                Xw = X[jw]
                 if d == 1:
-                    gj = p.g(tj, Xw[:, 0], jumps.marks[at, 0])
+                    gj = p.g(tj, Xw[:, 0], jumps.marks[e, 0])
                 else:
-                    gj = p.g(tj[:, None], Xw, jumps.marks[at])
+                    gj = p.g(tj[:, None], Xw, jumps.marks[e])
                 Xw += gj.reshape(len(jw), d)
                 X[jw] = Xw
-                cursor[jw] = at + 1
-                nj = next_jump[jw] = after[at]
-                n_dead += check_explode(target, jw, Xw)
+                n_dead += check_explode(jw, Xw, lambda: gb[jstep[e] - k0 + 1])
                 if integral is not None:
-                    f_prev[jw] = self._eval_f(target, Xw)
-                if self.record and W == 1:
+                    f_prev[jw] = self._eval_f(tj if d == 1 else tj[:, None], Xw)
+                if recording:
                     rec_times.append(rec_times[-1])
                     rec_states.append(X.copy())
                     rec_isjump.append(True)
-                # a path goes on if it is short of the target or jumps again by it
-                go_on = (tj < target) | (nj <= target)
-                if n_dead:
-                    go_on &= alive[jw]
-                rows, t_rows = jw[go_on], tj[go_on]
-                if not len(rows):
-                    break
-            if spliced:
-                next_due = float(next_jump.min(initial=np.inf))
-            t_prev = target
-            if self.record and W == 1:
-                rec_times.append(target)
-                rec_states.append(X.copy())
-                rec_isjump.append(False)
-            if target in snap_keys:
-                snaps[snap_keys[target]] = X.copy()
+            if k1 in snap_at:
+                snaps[snap_at[k1]] = X.copy()
+            k0 = k1
 
         out = {
             "X": X,
@@ -498,7 +523,7 @@ class _Engine:
             "snaps": snaps,
             "integral": integral,
         }
-        if self.record and W == 1:
+        if recording:
             out["times"] = np.array(rec_times)
             out["states"] = np.concatenate(rec_states, axis=0)
             out["isjump"] = np.array(rec_isjump)

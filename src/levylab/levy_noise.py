@@ -218,27 +218,35 @@ class ShellSampler:
     def radii(self, n, rng):
         return self._radii(rng.random(n))
 
-    def _radii(self, u):
+    def _radii(self, u, out=None):
         # inverse CDF at uniforms u in [0, 1): finite even for r2 = inf
         if self.model.kind == "isotropic_stable":
             a = self.model.alpha
             lo, hi = self.r1 ** (-a), self.r2 ** (-a)
-            return (lo - u * (lo - hi)) ** (-1.0 / a)
+            r = np.multiply(u, lo - hi, out=out)
+            np.subtract(lo, r, out=r)
+            return np.power(r, -1.0 / a, out=r)
         if not self._mass[-1] > 0:
             raise ParameterError(f"radial_table carries no mass on the shell [{self.r1}, {self.r2})")
         return np.interp(u * self._mass[-1], self._mass, self._fine)
 
-    def marks(self, n, rng):
+    def marks(self, n, rng, out=None):
         """n marks, shape (n, dim).
 
         In d = 1 one uniform u gives both: the sign of u - 1/2, and the radius
         at 2u - 1{u >= 1/2}, which is exact and stays in [0, 1), so a shell
-        out to r2 = inf gives no infinite mark.  In d >= 2 the radii come
-        first, then the directions.
+        out to r2 = inf gives no infinite mark.  A buffer ``out`` of at least
+        n floats then holds the uniforms and, for the stable kind, the marks.
+        In d >= 2 the radii come first, then the directions.
         """
         if self.model.dim == 1:
-            u = rng.random(n)
-            return np.copysign(self._radii(2.0 * u - (u >= 0.5)), u - 0.5)[:, None]
+            u = rng.random(n) if out is None else rng.random(out=out[:n])
+            neg = u < 0.5
+            u *= 2.0
+            u -= ~neg
+            r = self._radii(u, out=u)
+            # the signs as int8 (-1 or 0), so that no float array holds them
+            return np.copysign(r, -neg.view(np.int8), out=r)[:, None]
         radii = self.radii(n, rng)
         v = rng.standard_normal((n, self.model.dim))
         return radii[:, None] * v / np.linalg.norm(v, axis=1, keepdims=True)

@@ -581,7 +581,7 @@ def _transformed_problem(p, zmap):
         return lam * u + grad * b2
 
     jump_t = None
-    if p.jump is not None:
+    if p.has_jumps:
         lo_grad, hi_grad = zmap._edge_grads
 
         def jump_t(t, y, z):

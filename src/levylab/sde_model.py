@@ -2,12 +2,17 @@
 
 Coefficient calling convention (vectorized over a batch of states):
 
+- ``t`` is a float, or each row's own time shaped to broadcast against x
+  ((n,) for dim=1, (n, 1) for dim>=2), for ``b``, ``sigma``, ``sigma_bar``
+  and ``g`` alike: the integrator passes an array once the rows of a batch
+  stand at different times (after a large jump, or at a splice).
 - ``sigma(t, x)``: for dim=1, x has shape (n,) and sigma returns (n,) (the
   scalar diffusion); for dim>=2, x has shape (n, d) and sigma returns either
   (n,) (an isotropic multiple of the identity) or (n, d, d).
 - ``b(t, x)``, ``b1``, ``b2``: return the same shape as x.
-- ``g(t, x, z)``: z has the same shape as x; returns the same shape.  At a
-  large-jump splice t holds each path's jump time, shaped to broadcast against x.
+- ``sigma_bar(t, x)``: returns (n,).
+- ``g(t, x, z)``: z has the same shape as x; returns the same shape.  A
+  problem that declares ``sigma_bar`` and no ``jump`` has g = sigma_bar(t, x) z.
 
 Audits are grid-based certificates with worst-case witnesses, not proofs:
 they report falsifiability evidence for the declared constants.
@@ -56,7 +61,8 @@ class SdeProblem:
     The drift may be given whole (``drift``) or split as ``b1`` (singular
     part) + ``b2`` (dissipative part); the split is declared, never inferred.
     ``sigma_bar`` marks the multiplicative form g(t,x,z) = sigma_bar(t,x) * z,
-    which unlocks the exact stable stepping mode of the integrator.
+    which unlocks the exact stable stepping mode of the integrator; given
+    without ``jump``, it defines g.
     """
 
     dim: int = 1
@@ -117,13 +123,21 @@ class SdeProblem:
         return np.asarray(self.sigma(t, x), dtype=float)
 
     def g(self, t, x, z):
-        if self.jump is None:
+        """The jump coefficient: ``jump``, else sigma_bar(t, x) z, else zero."""
+        if self.jump is not None:
+            return np.asarray(self.jump(t, x, z), dtype=float)
+        if self.sigma_bar is None:
             return np.zeros_like(np.asarray(x, dtype=float))
-        return np.asarray(self.jump(t, x, z), dtype=float)
+        z = np.asarray(z, dtype=float)
+        sb = np.asarray(self.sigma_bar(t, x), dtype=float)
+        return sb.reshape(sb.shape + (1,) * (z.ndim - sb.ndim)) * z
 
     def g_pairs(self, t, x, z):
-        """g(t, x_i, z_k) for every pair, shape (len(x), len(z)), in one call (dim=1)."""
+        """g(t, x_i, z_k) for every pair, shape (len(x), len(z)), in one call (dim=1);
+        t is a float or one time per x_i."""
         x, z = np.ravel(x), np.ravel(z)
+        if np.ndim(t):
+            t = np.repeat(np.ravel(t), len(z))
         return self.g(t, np.repeat(x, len(z)), np.tile(z, len(x))).reshape(len(x), len(z))
 
     def with_tags(self, **tags):

@@ -14,6 +14,7 @@ from levylab.integrator import (
     StepConfig,
     _Engine,
     _SmallJumpBand,
+    _Work,
     path_to_csv,
     simulate_ensemble,
     simulate_interlaced,
@@ -409,12 +410,12 @@ def test_lean_substep_matches_the_masked_call(case):
     X = np.linspace(-2.0, 2.0, W)[:, None]
     lean_rng, full_rng = np.random.default_rng(11), np.random.default_rng(11)
 
-    def band_draw(rng):
-        # the base step's band draw, made by the run loop before its substeps
-        return eng.band.draw(W, dt, rng) if eng.band is not None and eng.band.active else None
+    def noise(rng):
+        # one base step's cells, drawn by the run loop before its passes
+        return eng.noise_of(eng.draw(W, dt, None, rng, _Work()), 0, W)
 
-    lean = eng.substep(X, 0.3, dt, lean_rng, None, band_draw(lean_rng))
-    full = eng.substep(X, 0.3, np.full(W, dt), full_rng, np.ones(W, dtype=bool), band_draw(full_rng))
+    lean = eng.substep(X, 0.3, dt, None, noise(lean_rng))
+    full = eng.substep(X, 0.3, np.full(W, dt), np.ones(W, dtype=bool), noise(full_rng))
     assert np.all(lean != X)
     assert lean.tobytes() == full.tobytes()
     assert lean_rng.bit_generator.state == full_rng.bit_generator.state
@@ -431,3 +432,79 @@ def test_mixed_explosion_marks_exactly_the_exploding_paths():
     assert ens.exploded_at[blows] == pytest.approx(0.1)
     assert np.all(np.isfinite(ens.terminal[~blows]))
     assert np.all(np.abs(ens.terminal[~blows]) < 10.0)
+
+
+# a table with no mass in the band [R/32, R): only the hand-built large jumps move X
+BIG_ONLY = LevyModel(kind="radial_table", dim=1, big_jump_radius=1.0, radii=[1.0, 3.0], densities=[10.0, 10.0])
+
+
+def _train(per_path, dt):
+    counts = np.array([len(j) for j in per_path])
+    times = dt * np.array([t for j in per_path for t in j], dtype=float)
+    return JumpTrain(times, np.ones((len(times), 1)), np.concatenate([[0], np.cumsum(counts)]))
+
+
+def test_each_row_reads_its_own_time_after_a_splice():
+    # two paths jump at 0.03 and 0.07 in one base step of 0.1: the pass after
+    # the splice reads the drift at each path's own jump time
+    seen = []
+
+    def drift(t, x):
+        seen.append(np.broadcast_to(np.asarray(t, dtype=float), np.shape(x)).copy())
+        return np.zeros_like(x)
+
+    p = SdeProblem(dim=1, drift=drift, jump=lambda t, x, z: z + 0 * x, levy=BIG_ONLY, time_homogeneous=False)
+    res = _Engine(p, StepConfig(dt=0.1)).run(np.zeros((2, 1)), 0.0, 0.1, np.random.default_rng(0), _train([[0.3], [0.7]], 0.1))
+    assert len(seen) == 2
+    np.testing.assert_array_equal(seen[0], [0.0, 0.0])
+    np.testing.assert_allclose(seen[1], [0.03, 0.07], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(res["X"][:, 0], [1.0, 1.0])
+
+
+def test_passes_per_block_are_steps_plus_most_jumps():
+    # one block of 10 base steps; the paths jump 2, 1, 3 and 0 times, twice in
+    # one step for the third path: 10 + 3 passes, each one drift call
+    calls = [0]
+
+    def drift(t, x):
+        calls[0] += 1
+        return np.zeros_like(x)
+
+    p = SdeProblem(dim=1, drift=drift, jump=lambda t, x, z: z + 0 * x, levy=BIG_ONLY)
+    per_path = [[0.5, 5.5], [2.5], [2.5, 2.7, 2.9], []]
+    res = _Engine(p, StepConfig(dt=0.1)).run(np.zeros((4, 1)), 0.0, 1.0, np.random.default_rng(0), _train(per_path, 0.1))
+    assert calls[0] <= 10 + max(len(j) for j in per_path)
+    np.testing.assert_array_equal(res["X"][:, 0], [len(j) for j in per_path])
+
+
+def test_no_jump_run_is_the_per_step_normal_stream():
+    # 300 paths make blocks of 54 base steps; drawing a block's normals in one
+    # call takes the stream of one (W, 1) draw per step, bit for bit
+    W, dt = 300, 0.01
+    x0 = np.linspace(-1.0, 1.0, W)[:, None]
+    res = _Engine(OU, StepConfig(dt=dt)).run(x0, 0.0, 1.0, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    grid = dt * np.arange(101)
+    x = x0.copy()
+    for k in range(100):
+        h = grid[k + 1] - grid[k]
+        z = rng.standard_normal((W, 1))
+        upd = np.zeros((W, 1))
+        upd += -x * h
+        upd += np.sqrt(2.0) * np.ones((W, 1)) * np.sqrt(h) * z
+        x = x + upd
+    assert res["X"].tobytes() == x.tobytes()
+
+
+def test_sigma_bar_alone_defines_the_jump_coefficient():
+    # g = sigma_bar z from sigma_bar alone: the interlaced scheme (with the
+    # Gaussian correction for the jumps below eps) and exact_stable agree in law
+    p = problem_1d(levy=M15, sigma_bar=lambda x: np.ones_like(x))
+    n = 4096
+    a = simulate_ensemble(p, 0.0, 1.0, StepConfig(dt=1e-2, gaussian_correction=True), n, 3).terminal[:, 0]
+    b = simulate_ensemble(p, 0.0, 1.0, StepConfig(dt=1e-2, exact_stable=True), n, 4).terminal[:, 0]
+    assert np.mean(a != 0.0) > 0.99
+    for f in (lambda x: np.arctan(x) ** 2, lambda x: np.abs(np.arctan(x))):
+        fa, fb = f(a), f(b)
+        se = np.hypot(np.std(fa), np.std(fb)) / np.sqrt(n)
+        assert abs(np.mean(fa) - np.mean(fb)) < 4.0 * se

@@ -12,26 +12,27 @@ symmetry), bypassing the interlacing split entirely.
 Array layout: the large jumps of W paths over [0, T) are one Poisson process
 on [0, W T) whose i-th window belongs to path i, held as a ``JumpTrain`` (flat
 times and marks with per-path offsets).  They are drawn before the paths are
-stepped, so ``_Engine.run`` lays out each block of B base steps (B W <=
-``BLOCK_CELLS``, cut at every snapshot time) as a ``jump_grid.Block``: pass j
-moves every path over the j-th interval of its own jump-adapted grid, so a
-path that jumped runs one pass behind, and catch-up passes go over the paths
-with more jumps in the block.  After each pass one g call splices the paths
-whose interval ended at a large jump.  Until the block's first jump every
-path stands on the base step and a pass takes one scalar time and step
+stepped, so every path's jump-adapted grid is known up front, and
+``jump_grid.blocks`` cuts a run into blocks of B base steps (B W <=
+``BLOCK_CELLS``, cut at every snapshot point).  ``_Engine.run`` steps a block
+pass by pass: pass j moves every path over the j-th interval of its own grid,
+so a path that jumped runs one pass behind, and catch-up passes go over the
+paths with more jumps in the block.  After each pass one g call splices the
+paths whose interval ended at a large jump.  Until the block's first jump
+every path stands on the base step and a pass takes one scalar time and step
 length; after it the coefficients get each row's own time as an array.
 While every path lives no pass takes an alive mask.
 
 Noise comes block by block, one call per kind over the block's cells (one cell
 per path and pass): the Brownian normals, the ``exact_stable`` increments, the
-Gaussian-correction normals, then the band eps <= |z| < R as a Poisson total
-over the cells, a uniform owning cell for each jump and the marks.  A jump in a
-cell shorter than the block's longest base step stays with probability
-length / step (thinning).  A pass adds sigma_bar(t, x) times its cells' mark
-sums when the problem has g = sigma_bar z (checked on probe points), else g at
-the owners' states summed per row with ``np.bincount``.  One normal draw of
-B W rows is the stream of B draws of W rows, so a run whose only noise is
-Brownian draws as a step-by-step loop would.
+Gaussian-correction normals, then the band eps <= |z| < R: one Poisson count
+per W-wide pass and one for the catch-up cells, uniform cells within them and
+the marks.  A jump in a cell shorter than the block's longest base step stays
+with probability length / step (thinning).  A pass adds sigma_bar(t, x) times
+its cells' mark sums when the problem has g = sigma_bar z (checked on probe
+points), else g at the owners' states summed per row with ``np.bincount``.
+One normal draw of B W rows is the stream of B draws of W rows, so a run
+whose only noise is Brownian draws as a step-by-step loop would.
 
 Determinism: every simulation is keyed by a seed (int or SeedSequence) from
 which a (flow, jumps) stream pair is derived; the ensemble keys chunk i of
@@ -52,7 +53,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from levylab.errors import ParameterError, TruncationError
-from levylab.jump_grid import BLOCK_CELLS, WHOLE, Block
+from levylab.jump_grid import blocks
 from levylab.levy_noise import ShellSampler, levy_constant, sample_large_jumps, shell_rule, tail_mass, _stable_increments
 
 __all__ = [
@@ -183,35 +184,45 @@ class _SmallJumpBand:
                 return False
         return True
 
-    def cells(self, n_cells, unit, lengths, rng, work):
-        """The band jumps of ``n_cells`` cells, each at most ``unit`` long.
+    def cells(self, block, rng, work):
+        """The band jumps of the cells of ``block`` (a ``jump_grid.Block``).
 
-        A Poisson(rate unit n_cells) total, a uniform owning cell for each and
-        their marks; a jump in a cell shorter than the unit (``lengths``, None
-        when every cell is whole) stays with probability length / unit.  Returns
-        the per-cell mark sums (n_cells, d) when g = sigma_bar z, else the
-        (cell, marks) of the jumps sorted by cell.  ``work`` (a ``_Work``)
-        lends the marks their buffer.
+        Each cell of length at most ``block.unit`` gets Poisson(rate unit)
+        jumps with i.i.d. marks, drawn pass by pass: one Poisson count per
+        W-wide pass and one for the catch-up cells, then uniform cells within
+        them, so the cells ascend pass by pass.  A jump in a short cell of
+        length l stays with probability l / unit.  Returns the per-cell mark
+        sums (n_cells, d) when g = sigma_bar z, else the (cell, marks) of the
+        kept jumps.  ``work`` (a ``_Work``) lends the marks their buffer.
         """
-        n = int(rng.poisson(self.sampler.rate * unit * n_cells))
-        cell = rng.integers(0, n_cells, n)
+        n_cells, unit, W, main = block.n_cells, block.unit, block.W, block.nb * block.W
+        counts = rng.poisson(self.sampler.rate * unit * np.append(np.full(block.nb, W), n_cells - main))
+        ends = np.cumsum(counts).tolist()
+        n, n_main = ends[-1], ends[-2]
+        # the offsets within each W-wide pass, then the pass's first cell
+        # added in place; the array grows in place (realloc) to take the
+        # catch-up cells, so no second array of every cell is made
+        cell = rng.integers(0, W, n_main)
+        for j in range(1, block.nb):
+            cell[ends[j - 1] : ends[j]] += j * W
+        if n > n_main:
+            tail = np.sort(rng.integers(main, n_cells, n - n_main))
+            cell.resize(n, refcheck=False)
+            cell[n_main:] = tail
         marks = self.sampler.marks(n, rng, work("marks", n))
-        if lengths is not None and n:
-            short = (lengths < unit * WHOLE)[cell].nonzero()[0]
-            if len(short):
-                drop = short[rng.random(len(short)) * unit >= lengths[cell[short]]]
-                if self.multiplicative:
-                    marks[drop] = 0.0
-                else:
-                    keep = np.ones(n, dtype=bool)
-                    keep[drop] = False
-                    cell, marks = cell[keep], marks[keep]
+        short = block.short(cell)
+        if len(short):
+            drop = short[rng.random(len(short)) * unit >= block.lengths[cell[short]]]
+            if self.multiplicative:
+                marks[drop] = 0.0
+            else:
+                keep = np.ones(n, dtype=bool)
+                keep[drop] = False
+                cell, marks = cell[keep], marks[keep]
         if self.multiplicative:
             sums = [np.bincount(cell, weights=marks[:, j], minlength=n_cells) for j in range(self.model.dim)]
             return sums[0][:, None] if len(sums) == 1 else np.stack(sums, axis=1)
-        # a stable sort keeps each cell's jumps in draw order; 16-bit keys sort by radix
-        order = np.argsort(cell.astype(np.uint16) if n_cells <= 1 << 16 else cell, kind="stable")
-        return cell[order], marks[order]
+        return cell, marks
 
     def compensator(self, t, x):
         """int_{eps<=|z|<R} g(t,x,z) nu(dz), zero for odd g (symmetric nu)."""
@@ -279,18 +290,22 @@ class _Engine:
             self.band = _SmallJumpBand(p, cfg) if p.has_jumps else None
 
     def _eval_f(self, t, X):
-        # integrands may be vector-valued: (W,) or (W, m) accepted
-        x_arg = X[:, 0] if self.p.dim == 1 else X
+        # integrands may be vector-valued: (W,) or (W, m) accepted; an array t
+        # (each row's time) is shaped as the coefficients get it
+        if self.p.dim == 1:
+            x_arg = X[:, 0]
+        else:
+            x_arg, t = X, (t[:, None] if isinstance(t, np.ndarray) else t)
         out = np.asarray(self.integrand(t, x_arg), dtype=float)
         return out[:, None] if out.ndim == 1 else out
 
-    def draw(self, n_cells, unit, lengths, rng, work):
-        """The noise of ``n_cells`` cells, one call per kind in this order: the
-        Brownian normals, the exact_stable increments, the Gaussian-correction
-        normals and the band (``_SmallJumpBand.cells``); None for a kind the
-        scheme lacks.  The normals and the marks go into the buffers of
-        ``work``, a run's ``_Work``."""
-        p, d = self.p, self.p.dim
+    def draw(self, block, rng, work):
+        """The noise of the cells of ``block``, one call per kind in this order:
+        the Brownian normals, the exact_stable increments, the Gaussian-
+        correction normals and the band (``_SmallJumpBand.cells``); None for a
+        kind the scheme lacks.  The normals and the marks go into the buffers
+        of ``work``, a run's ``_Work``."""
+        p, d, n_cells = self.p, self.p.dim, block.n_cells
 
         def normals(name):
             return rng.standard_normal(out=work(name, n_cells * d).reshape(n_cells, d))
@@ -299,7 +314,7 @@ class _Engine:
         dl = _stable_increments(p.levy.alpha, d, 1.0, n_cells, rng) if self.exact else None
         band = self.band
         gz = normals("gz") if band is not None and band.gauss else None
-        jumps = band.cells(n_cells, unit, lengths, rng, work) if band is not None else None
+        jumps = band.cells(block, rng, work) if band is not None else None
         return z, dl, gz, jumps
 
     def noise_of(self, noise, lo, hi):
@@ -307,8 +322,10 @@ class _Engine:
         z, dl, gz, jumps = noise
         if jumps is not None and not isinstance(jumps, np.ndarray):
             cell, marks = jumps
+            # the cells ascend pass by pass, so a binary search for a pass's
+            # first cell finds where its jumps begin
             a, b = np.searchsorted(cell, (lo, hi))
-            jumps = (cell[a:b] - lo, marks[a:b])
+            jumps = (cell[a:b] - lo if lo else cell[a:b], marks[a:b])
         else:
             jumps = None if jumps is None else jumps[lo:hi]
         return tuple(None if v is None else v[lo:hi] for v in (z, dl, gz)) + (jumps,)
@@ -408,27 +425,11 @@ class _Engine:
         absorbed_at = np.full(W, np.nan)
         alive = np.ones(W, dtype=bool)
         grid, snap_at = self._grid(t0, t1)
-        steps = np.diff(grid)
-        n_steps = len(steps)
-
-        # blocks of at most BLOCK_CELLS cells, cut at every snapshot point so
-        # that every path stands at each block's end
-        per_block = max(1, BLOCK_CELLS // W)
-        ends = sorted(set(range(per_block, n_steps, per_block)) | set(snap_at) | {n_steps})
-        # the large jumps block by block; a stable sort keeps them path by path
-        # and in time order within a path
-        if jumps is not None and len(jumps) and n_steps:
-            jpath = np.repeat(np.arange(W), np.diff(jumps.offsets))
-            jstep = np.maximum(np.searchsorted(grid, jumps.times) - 1, 0)
-            jblock = np.searchsorted(ends, jstep, side="right")
-            by_block = np.argsort(jblock, kind="stable")
-            first = np.searchsorted(jblock[by_block], np.arange(len(ends) + 1))
-        else:
-            by_block = None
 
         rec_times, rec_states, rec_isjump = [t0], [X.copy()], [False]
         recording = self.record and W == 1
-        snaps = {}
+        # a snapshot within rounding of t0 takes the starting states
+        snaps = {snap_at[0]: X.copy()} if 0 in snap_at else {}
         f_prev = self._eval_f(t0, X) if self.integrand is not None else None
         integral = np.zeros_like(f_prev) if self.integrand is not None else None
 
@@ -456,18 +457,8 @@ class _Engine:
 
         work = _Work()
         n_dead = 0
-        k0 = 0
-        for b, k1 in enumerate(ends):
-            gb = grid[k0 : k1 + 1]
-            sel = () if by_block is None else by_block[first[b] : first[b + 1]]
-            if n_dead and len(sel):
-                sel = sel[alive[jpath[sel]]]
-            if len(sel):
-                block = Block(gb, steps[k0:k1], W, jpath[sel], jstep[sel] - k0, jumps.times[sel])
-            else:
-                block = Block(gb, steps[k0:k1], W)
-            noise = self.draw(block.n_cells, block.unit, block.lengths, rng, work)
-
+        for block in blocks(grid, W, snap_at, jumps, alive):
+            noise = self.draw(block, rng, work)
             for j in range(block.n_passes):
                 rows, lo, hi, t, h = block.row(j)
                 whole = isinstance(rows, slice)
@@ -486,35 +477,37 @@ class _Engine:
                     acc = integral[rows] + trap
                     integral[rows] = np.where(alive[rows][:, None], acc, integral[rows]) if n_dead else acc
                     f_prev[rows] = f_new
-
-                e = sel[block.spliced(j)] if len(sel) else ()
-                if n_dead and len(e):
-                    e = e[alive[jpath[e]]]
                 if recording:
                     rec_times.append(float(np.ravel(block.ends(j))[0]))
                     rec_states.append(X.copy())
                     rec_isjump.append(False)
+
+                spliced = block.spliced(j)
+                if spliced is None:
+                    continue
+                e, jw, step_ends = spliced
+                if n_dead:
+                    keep = alive[jw]
+                    e, jw, step_ends = e[keep], jw[keep], step_ends[keep]
                 if not len(e):
                     continue
                 # the splice: one g call over every path whose interval ends at its jump
-                jw, tj = jpath[e], jumps.times[e]
-                Xw = X[jw]
+                tj, Xw = jumps.times[e], X[jw]
                 if d == 1:
                     gj = p.g(tj, Xw[:, 0], jumps.marks[e, 0])
                 else:
                     gj = p.g(tj[:, None], Xw, jumps.marks[e])
                 Xw += gj.reshape(len(jw), d)
                 X[jw] = Xw
-                n_dead += check_explode(jw, Xw, lambda: gb[jstep[e] - k0 + 1])
+                n_dead += check_explode(jw, Xw, lambda: step_ends)
                 if integral is not None:
-                    f_prev[jw] = self._eval_f(tj if d == 1 else tj[:, None], Xw)
+                    f_prev[jw] = self._eval_f(tj, Xw)
                 if recording:
                     rec_times.append(rec_times[-1])
                     rec_states.append(X.copy())
                     rec_isjump.append(True)
-            if k1 in snap_at:
-                snaps[snap_at[k1]] = X.copy()
-            k0 = k1
+            if block.k1 in snap_at:
+                snaps[snap_at[block.k1]] = X.copy()
 
         out = {
             "X": X,
@@ -598,10 +591,14 @@ def simulate_ensemble(
     """Simulate n_paths independent interlaced paths, reduced in path order.
 
     Chunk i of ``CHUNK_SIZE`` paths draws from the stream keyed by
-    (master_seed, i), its large jumps as one windowed train; per-path outputs are stored by index and reductions run
-    over the indexed arrays in fixed order, so the result is bit-identical
-    for a fixed master_seed at any worker count.  ``time_integrand`` f(t, x)
-    is accumulated pathwise by trapezoid on the jump-adapted grid.
+    (master_seed, i), its large jumps as one windowed train; per-path outputs
+    are stored by index and reductions run over the indexed arrays in fixed
+    order, so the result is bit-identical for a fixed master_seed at any
+    worker count.  ``time_integrand`` f(t, x) is accumulated pathwise by
+    trapezoid on the jump-adapted grid, read at each point of a path's grid
+    (after a jump, at the jump time and the post-jump state).  Like the
+    coefficients, f gets ``t`` as a float while the rows share their time and
+    otherwise as each row's time: shape (n,) in d = 1, (n, 1) in d >= 2.
     """
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")

@@ -1,18 +1,18 @@
 """Blocks of base steps laid out as passes over each path's jump-adapted grid.
 
 The large jumps of a batch are drawn before it is stepped, so the grid of
-every path (the base grid plus its own jump times) is known up front.  A
-``Block`` of B base steps lays those grids out as passes: pass j moves every
-path over the j-th interval of its own grid, and each (pass, path) pair is one
-cell of the block's noise.  ``integrator._Engine.run`` steps a block pass by
-pass.
+every path (the base grid plus its own jump times) is known up front.
+``blocks`` cuts a run into ``Block``s of B base steps and lays each out as
+passes: pass j moves every path over the j-th interval of its own grid, and
+each (pass, path) pair is one cell of the block's noise.
+``integrator._Engine.run`` steps a block pass by pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BLOCK_CELLS", "WHOLE", "Block"]
+__all__ = ["BLOCK_CELLS", "Block", "blocks"]
 
 # a block of base steps covers at most this many (base step, path) cells
 BLOCK_CELLS = 2**14
@@ -20,35 +20,79 @@ BLOCK_CELLS = 2**14
 WHOLE = 1.0 - 1e-9
 
 
+def blocks(grid, W, cuts, jumps=None, alive=None):
+    """The blocks of a run of W paths over the base grid ``grid``, in order.
+
+    A block covers at most ``BLOCK_CELLS`` (base step, path) cells and one
+    ends at every grid index of ``cuts`` (the snapshot points) and at the
+    grid's end, so every path stands on a block's last base point; a grid of
+    one point has no block.  ``jumps`` is the run's W-path JumpTrain, or None.
+    A block leaves out the jumps of the paths that ``alive`` marks dead when
+    it is laid out, so the blocks are made lazily, one at a time.
+    """
+    n_steps = len(grid) - 1
+    per_block = max(1, BLOCK_CELLS // W)
+    ends = sorted({*range(per_block, n_steps, per_block), *cuts, n_steps} - {0})
+    if not ends:
+        return
+    steps = np.diff(grid)
+    # each block's longest base step, and whether any of its steps is shorter
+    firsts = [0, *ends[:-1]]
+    units = np.maximum.reduceat(steps, firsts)
+    shorts = (np.minimum.reduceat(steps, firsts) < units * WHOLE).tolist()
+    units = units.tolist()
+    by_block = None
+    if jumps is not None and len(jumps):
+        path = np.repeat(np.arange(W), np.diff(jumps.offsets))
+        step = np.maximum(np.searchsorted(grid, jumps.times) - 1, 0)
+        in_block = np.searchsorted(ends, step, side="right")
+        # a stable sort keeps the jumps path by path, in time order within a path
+        by_block = np.argsort(in_block, kind="stable")
+        first = np.searchsorted(in_block[by_block], np.arange(len(ends) + 1))
+    k0 = 0
+    for b, k1 in enumerate(ends):
+        base = (grid[k0 : k1 + 1], steps[k0:k1], W, k1, units[b], shorts[b])
+        ids = () if by_block is None else by_block[first[b] : first[b + 1]]
+        if len(ids) and alive is not None:
+            ids = ids[alive[path[ids]]]
+        if len(ids):
+            yield Block(*base, ids, path[ids], step[ids] - k0, jumps.times[ids])
+        else:
+            yield Block(*base)
+        k0 = k1
+
+
 class Block:
     """One block of base steps, laid out as passes over (base step, path) cells.
 
-    ``gb`` holds the block's nb + 1 base points, ``hb`` their gaps, and W is
-    the path count.  Path i's jump-adapted grid is the base points plus its
-    large jumps in the block, given as ``path``, ``step`` (the base step of
-    each jump within the block) and ``times``, path by path and in time order
-    within a path.  Pass j moves every path over the j-th interval of its own
-    grid: passes 0..nb-1 go over all W paths, and catch-up pass nb + r over
-    the paths with more than r jumps.  Cell j W + i is pass j of path i; the
-    catch-up cells follow, pass by pass.
+    ``gb`` holds the block's nb + 1 base points, ``hb`` their gaps, W is the
+    path count, ``k1`` the grid index of the block's last point, ``unit`` the
+    longest base step and ``short`` whether a base step is shorter.  Path i's
+    jump-adapted grid is the base points plus its large jumps in the block:
+    ``ids`` (their places in the run's train), ``path``, ``step`` (the base
+    step of each within the block) and ``times``, path by path and in time
+    order within a path.  Pass j moves every path over the j-th interval of
+    its own grid: passes 0..nb-1 go over all W paths, and catch-up pass
+    nb + r over the paths with more than r jumps.  Cell j W + i is pass j of
+    path i for j < nb, and the catch-up cells follow, pass by pass, from
+    ``offsets[r]`` to ``offsets[r + 1]``.
 
     A path that jumps (a column of ``cols``, ``m`` jumps) has nb + m intervals
-    ending at ``stops[c, 1:]``, its base points and jump times in order.  The
-    jumps spliced after pass j are entries ``by_pass[bounds[j]:bounds[j + 1]]``
-    of the block's jumps.  Until pass ``split`` (the first base step with a
-    jump) every path is on the base step.
+    ending at ``stops[c, 1:]``, its base points and jump times in order.  Until
+    pass ``split`` (the first base step with a jump) every path is on the base
+    step.  A cell is short when it is not within ``WHOLE`` of ``unit``;
+    ``lengths`` holds every cell's length, None when no cell is short.
     """
 
-    def __init__(self, gb, hb, W, path=(), step=(), times=()):
-        self.gb, self.hb, self.W = gb, hb, W
+    def __init__(self, gb, hb, W, k1, unit, short, ids=(), path=(), step=(), times=()):
+        self.gb, self.hb, self.W, self.k1, self.unit = gb, hb, W, k1, unit
         self.nb = nb = len(hb)
-        self.unit = float(hb.max())
         n = len(path)
         self.n_cells = nb * W + n
         self.n_passes = self.split = nb
         self.cols = None
         if not n:
-            self.lengths = np.repeat(hb, W) if hb.min() < self.unit * WHOLE else None
+            self.lengths = np.repeat(hb, W) if short else None
             return
         first = np.flatnonzero(np.diff(path, prepend=-1))
         self.cols = path[first]
@@ -66,10 +110,13 @@ class Block:
         after = step + q
         self.n_passes = nb + most
         self.split = int(step.min())
-        self.by_pass = np.argsort(after, kind="stable")
-        self.bounds = np.searchsorted(after[self.by_pass], np.arange(self.n_passes + 1))
+        # the jumps in the order they are spliced, and where each pass's start
+        order = np.argsort(after, kind="stable")
+        self.jump_ids, self.jump_rows = ids[order], path[order]
+        self.jump_step_ends = gb[step[order] + 1]
+        self.bounds = np.searchsorted(after[order], np.arange(self.n_passes + 1))
         self.catch = [(m > r).nonzero()[0] for r in range(most)]
-        self.offsets = np.cumsum([nb * W] + [len(c) for c in self.catch])
+        self.offsets = np.cumsum([nb * W] + [len(c) for c in self.catch]).tolist()
         # the length of every cell; its first nb W are the W-wide passes' rows
         self.lengths = np.empty(self.n_cells)
         self.H = self.lengths[: nb * W].reshape(nb, W)
@@ -77,6 +124,12 @@ class Block:
         self.H[:, self.cols] = gaps[:, :nb].T
         for r, c in enumerate(self.catch):
             self.lengths[self.offsets[r] : self.offsets[r + 1]] = gaps[c, nb + r]
+
+    def short(self, cell):
+        """The positions in ``cell`` (cell indices) of the short cells."""
+        if self.lengths is None:
+            return np.empty(0, dtype=np.intp)
+        return (self.lengths < self.unit * WHOLE)[cell].nonzero()[0]
 
     def _spread(self, base, own):
         out = np.full(self.W, base)
@@ -87,13 +140,14 @@ class Block:
         """Pass j as (rows, lo, hi, t, h): its paths (a slice for all W, else
         their indices), its cells lo:hi, and each row's start time and length,
         floats while every path is on the base step."""
-        nb = self.nb
+        nb, W = self.nb, self.W
         if j < nb:
             t = float(self.gb[j]) if j <= self.split else self._spread(self.gb[j], self.stops[:, j])
             h = float(self.hb[j]) if j < self.split else self.H[j]
-            return slice(None), j * self.W, (j + 1) * self.W, t, h
-        c = self.catch[j - nb]
-        return self.cols[c], self.offsets[j - nb], self.offsets[j - nb + 1], self.stops[c, j], self.gaps[c, j]
+            return slice(None), j * W, (j + 1) * W, t, h
+        r = j - nb
+        c = self.catch[r]
+        return self.cols[c], self.offsets[r], self.offsets[r + 1], self.stops[c, j], self.gaps[c, j]
 
     def ends(self, j):
         """The end time of each row's interval in pass j."""
@@ -109,7 +163,9 @@ class Block:
         return self.gb[np.maximum(np.searchsorted(self.gb, self.ends(j)), 1)]
 
     def spliced(self, j):
-        """The block's jumps (positions in its lists) that end pass j."""
+        """The jumps that end pass j as (ids, rows, step_ends): their places in
+        the run's train, their paths and the end of the base step each is in."""
         if self.cols is None:
-            return ()
-        return self.by_pass[self.bounds[j] : self.bounds[j + 1]]
+            return None
+        s = slice(self.bounds[j], self.bounds[j + 1])
+        return self.jump_ids[s], self.jump_rows[s], self.jump_step_ends[s]

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 
 from levylab.errors import ParameterError
+from levylab.jump_grid import Block
 from levylab.levy_noise import JumpTrain, LevyModel, sample_large_jumps, tail_mass
 from levylab.integrator import (
     PathSample,
@@ -412,7 +413,8 @@ def test_lean_substep_matches_the_masked_call(case):
 
     def noise(rng):
         # one base step's cells, drawn by the run loop before its passes
-        return eng.noise_of(eng.draw(W, dt, None, rng, _Work()), 0, W)
+        block = Block(np.array([0.3, 0.3 + dt]), np.array([dt]), W, 1, dt, False)
+        return eng.noise_of(eng.draw(block, rng, _Work()), 0, W)
 
     lean = eng.substep(X, 0.3, dt, None, noise(lean_rng))
     full = eng.substep(X, 0.3, np.full(W, dt), np.ones(W, dtype=bool), noise(full_rng))
@@ -508,3 +510,51 @@ def test_sigma_bar_alone_defines_the_jump_coefficient():
         fa, fb = f(a), f(b)
         se = np.hypot(np.std(fa), np.std(fb)) / np.sqrt(n)
         assert abs(np.mean(fa) - np.mean(fb)) < 4.0 * se
+
+
+def test_zero_length_runs_return_the_start():
+    # t1 == t0 makes no base step: the path is its one starting point
+    s = simulate_small_jump_path(PURE_JUMP, 0.4, 1.0, 1.0, StepConfig(dt=0.1), 3)
+    np.testing.assert_array_equal(s.times, [1.0])
+    np.testing.assert_array_equal(s.states, [[0.4]])
+    s = simulate_interlaced(preset("mixing_jump"), 0.4, 0.0, StepConfig(dt=0.1), 3)
+    np.testing.assert_array_equal(s.states, [[0.4]])
+    ens = simulate_ensemble(preset("mixing_jump"), 0.4, 0.0, StepConfig(dt=0.1), 5, 3, time_integrand=lambda t, x: x)
+    np.testing.assert_array_equal(ens.terminal, 0.4)
+    np.testing.assert_array_equal(ens.integrals, 0.0)
+
+
+def test_snapshot_within_rounding_of_the_start_takes_the_start():
+    # a snapshot time within 1e-9 dt of t0 falls on grid point 0
+    ens = simulate_ensemble(OU, 0.7, 1.0, StepConfig(dt=0.1), 4, 2, snapshot_times=[1e-12, 0.5])
+    np.testing.assert_array_equal(ens.snapshots[0], 0.7)
+    assert np.all(ens.snapshots[1] != 0.7)
+
+
+BIG_ONLY_2D = LevyModel(kind="radial_table", dim=2, big_jump_radius=1.0, radii=[1.0, 3.0], densities=[10.0, 10.0])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_time_integrand_reads_each_row_at_its_own_time(dim):
+    # jumps at 0.03 and 0.07 in the first base step of 0.1 and two in the
+    # third: the trapezoid of f(t, x) = t is exact on any grid, so every path
+    # integrates to T^2 / 2 only if f reads each row at its own interval end;
+    # an array t comes shaped as the coefficients get it
+    shapes = []
+
+    def f(t, x):
+        shapes.append(np.shape(t))
+        return t + 0.0 * x
+
+    levy = BIG_ONLY if dim == 1 else BIG_ONLY_2D
+    p = SdeProblem(dim=dim, jump=lambda t, x, z: z + 0 * x, levy=levy)
+    train = _train([[0.3, 2.2, 2.6], [0.7], [], [2.5]], 0.1)
+    if dim == 2:
+        train = JumpTrain(train.times, np.ones((len(train), 2)), train.offsets)
+    res = _Engine(p, StepConfig(dt=0.1), integrand=f).run(np.zeros((4, dim)), 0.0, 0.5, np.random.default_rng(0), train)
+    np.testing.assert_allclose(res["integral"], 0.125, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(res["X"], np.array([3, 1, 0, 1])[:, None] * np.ones(dim))
+    arrays = {sh for sh in shapes if sh}
+    assert arrays and all(len(sh) == dim for sh in arrays)
+    if dim == 2:
+        assert all(sh[1] == 1 for sh in arrays)

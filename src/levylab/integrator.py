@@ -303,15 +303,16 @@ class _Engine:
         """The noise of the cells of ``block``, one call per kind in this order:
         the Brownian normals, the exact_stable increments, the Gaussian-
         correction normals and the band (``_SmallJumpBand.cells``); None for a
-        kind the scheme lacks.  The normals and the marks go into the buffers
-        of ``work``, a run's ``_Work``."""
+        kind the scheme lacks.  The normals, the stable increments (and their
+        intermediates) and the marks go into the buffers of ``work``, a run's
+        ``_Work``, so each thread's run has its own."""
         p, d, n_cells = self.p, self.p.dim, block.n_cells
 
         def normals(name):
             return rng.standard_normal(out=work(name, n_cells * d).reshape(n_cells, d))
 
         z = normals("z") if p.sigma is not None else None
-        dl = _stable_increments(p.levy.alpha, d, 1.0, n_cells, rng) if self.exact else None
+        dl = _stable_increments(p.levy.alpha, d, 1.0, n_cells, rng, work) if self.exact else None
         band = self.band
         gz = normals("gz") if band is not None and band.gauss else None
         jumps = band.cells(block, rng, work) if band is not None else None

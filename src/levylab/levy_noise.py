@@ -14,6 +14,12 @@ time t has the law of a symbol-normalized increment at time levy_constant*t.
 Integrals against nu go through one rule, ``shell_rule``: log-spaced
 Gauss-Legendre panels, with power-law remainders closing the stable measure's
 open ends (DECISIONS.md).
+
+Exact stable increments come from the Chambers-Mallows-Stuck transform in
+d = 1 and from Kanter's positive stable time in d >= 2, written with tan, log
+and exp alone (numpy vectorises those; its float64 sin and cos are scalar
+code) and computed in place in float buffers that the caller may lend, as the
+path engine does for each run (DECISIONS.md, "A trig-free stable sampler").
 """
 
 from __future__ import annotations
@@ -145,40 +151,152 @@ class LevyModel:
         return self.large_jumps.rate
 
 
-def _cms_symmetric(alpha, size, rng):
-    """Chambers-Mallows-Stuck draw, char. function exp(-|xi|^alpha), alpha in (0,2)."""
-    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
-    w = rng.exponential(1.0, size)
+# fl(pi / 4) falls short of pi / 4 by this much
+QUARTER_PI_LO = 3.061616997868383e-17
+
+
+def _fresh(name, n):
+    """A new float buffer of n: the ``work`` of a draw that owns no buffers."""
+    return np.empty(n)
+
+
+def _log_tan_cot(x, tmp):
+    """x <- log(tan x + cot x) = log 2 - log sin 2x in place, for x in (0, pi/2).
+
+    sin 2x = 2 tan x / (1 + tan^2 x) needs only the vectorised tan, and for
+    x near 0 or pi/2 it keeps the full relative accuracy of the float x.
+    """
+    np.tan(x, out=x)
+    np.reciprocal(x, out=tmp)
+    x += tmp
+    return np.log(x, out=x)
+
+
+def _cms_transform(alpha, u, w, x1, x2):
+    """The Chambers-Mallows-Stuck map in place: X in ``u`` from u in
+    [-pi/2, pi/2) and w > 0, with the scratch x1, x2; ``w`` is overwritten.
+
+        X = sin(alpha u) / cos(u)^(1/alpha) * (cos((1-alpha) u) / w)^((1-alpha)/alpha)
+
+    Only tan, log and exp, which numpy vectorises, are called.  With
+    p = tan(d/2), d = pi/2 - |u|, and A = tan(alpha u / 2), q = |A|:
+    cos u = sin d = 2p / (1 + p^2), sin(alpha u) = 2A / (1 + q^2), and
+    cos((1-alpha) u) = sin 2x for x = d/2 + alpha |u| / 2, whose tangent is
+    (p + q) / (1 - p q), so cos((1-alpha) u) = 2 (p + q)(1 - p q) / ((1 + p^2)(1 + q^2)).
+    The factors 2 cancel and
+
+        X = A (1 + p^2) exp(((1-alpha) log((p + q)(1 - p q) / w) - log(p (1 + q^2))) / alpha).
+
+    d/2 is pi/4 - |u|/2, exact for |u| >= pi/4, plus the low part of pi/4, so
+    cos u keeps its full relative accuracy up to u = -pi/2, where it is
+    cos(fl(pi/2)) = 6.1e-17; x < pi/2 keeps 1 - p q > 0.
+    """
+    p = np.abs(u, out=x1)
+    p *= -0.5
+    p += math.pi / 4.0
+    p += QUARTER_PI_LO
+    np.tan(p, out=p)
+    u *= 0.5 * alpha
+    np.tan(u, out=u)
+    # w <- log((p + q)(1 - p q) / w)
+    np.abs(u, out=x2)
+    x2 += p
+    np.divide(x2, w, out=w)
+    np.abs(u, out=x2)
+    x2 *= p
+    np.subtract(1.0, x2, out=x2)
+    w *= x2
+    np.log(w, out=w)
+    # x2 <- log(p (1 + q^2))
+    np.multiply(u, u, out=x2)
+    x2 += 1.0
+    x2 *= p
+    np.log(x2, out=x2)
+    w *= 1.0 - alpha
+    w -= x2
+    w *= 1.0 / alpha
+    np.exp(w, out=w)
+    np.multiply(p, p, out=p)
+    p += 1.0
+    u *= p
+    u *= w
+    return u
+
+
+def _cms_symmetric(alpha, size, rng, work=_fresh):
+    """Chambers-Mallows-Stuck draw, char. function exp(-|xi|^alpha), alpha in (0,2).
+
+    u is uniform on [-pi/2, pi/2) and w exponential (not drawn for alpha = 1,
+    where X = tan u).  ``work(name, n)`` lends the float buffers; the draw
+    lands in ``work("stable", size)``.
+    """
+    u = rng.random(out=work("stable", size))
+    u *= math.pi
+    u -= math.pi / 2.0
     if alpha == 1.0:
-        return np.tan(u)
-    s = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-    t = (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    return s * t
+        return np.tan(u, out=u)
+    w = rng.standard_exponential(out=work("stable_w", size))
+    return _cms_transform(alpha, u, w, work("stable_x1", size), work("stable_x2", size))
 
 
-def _kanter_positive_stable(rho, size, rng):
-    """Positive rho-stable with Laplace transform exp(-u^rho), rho in (0,1)."""
-    th = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(1.0, size)
-    a = (np.sin(rho * th) ** rho * np.sin((1.0 - rho) * th) ** (1.0 - rho) / np.sin(th)) ** (
-        1.0 / (1.0 - rho)
-    )
-    return (a / w) ** ((1.0 - rho) / rho)
+def _kanter_log(rho, h, w, x1, x2):
+    """log S in place of h for Kanter's positive rho-stable S, Laplace transform
+    exp(-u^rho), rho in (0,1), from h = th / 2 with th uniform on (0, pi) and w
+    exponential; x1, x2 are scratch and ``w`` is overwritten.
+
+        S = (sin(rho th)^rho sin((1-rho) th)^(1-rho) / sin th)^(1/rho) / w^((1-rho)/rho)
+
+    Each sine comes from its own half-angle tangent, l(x) = log(tan x + cot x)
+    = log 2 - log sin 2x (``_log_tan_cot``), and the powers fold into one log
+    sum: with k = (1-rho)/rho,
+    log S = l(th/2) / rho - l(rho th/2) - k (l((1-rho) th/2) + log w), where
+    the terms in log 2 cancel.  (tan(th/2) from the other two by the addition
+    formula would put 1 - tan tan at the pole th -> pi and lose the relative
+    accuracy of sin th there.)
+    """
+    k = (1.0 - rho) / rho
+    np.multiply(h, rho, out=x1)
+    _log_tan_cot(x1, x2)
+    np.log(w, out=w)
+    w *= k
+    x1 += w
+    np.multiply(h, 1.0 - rho, out=x2)
+    _log_tan_cot(x2, w)
+    x2 *= k
+    x1 += x2
+    _log_tan_cot(h, x2)
+    h *= 1.0 / rho
+    h -= x1
+    return h
 
 
-def _stable_increments(alpha, dim, t, size, rng):
-    """size independent increments of the symbol-normalized process at time t."""
+def _stable_increments(alpha, dim, t, size, rng, work=_fresh):
+    """size independent increments of the symbol-normalized process at time t,
+    shape (size, dim), in the buffers that ``work(name, n)`` lends."""
     t = float(t)
     if t == 0.0:
         return np.zeros((size, dim))
     if alpha == 2.0:
         # exp(-t|xi|^2) is N(0, 2t I)
-        return math.sqrt(2.0 * t) * rng.standard_normal((size, dim))
+        x = rng.standard_normal(out=work("stable", size * dim).reshape(size, dim))
+        x *= math.sqrt(2.0 * t)
+        return x
     if dim == 1:
-        return (t ** (1.0 / alpha) * _cms_symmetric(alpha, size, rng))[:, None]
-    s = _kanter_positive_stable(alpha / 2.0, size, rng)
-    z = rng.standard_normal((size, dim))
-    return np.sqrt(2.0 * t ** (2.0 / alpha) * s)[:, None] * z
+        x = _cms_symmetric(alpha, size, rng, work)
+        if t != 1.0:
+            x *= t ** (1.0 / alpha)
+        return x[:, None]
+    # d >= 2: sqrt(2 t^(2/alpha) S) z with S positive alpha/2-stable
+    h = rng.random(out=work("stable_h", size))
+    h *= math.pi / 2.0
+    w = rng.standard_exponential(out=work("stable_w", size))
+    scale = _kanter_log(alpha / 2.0, h, w, work("stable_x1", size), work("stable_x2", size))
+    scale *= 0.5
+    scale += 0.5 * math.log(2.0) + math.log(t) / alpha
+    np.exp(scale, out=scale)
+    z = rng.standard_normal(out=work("stable", size * dim).reshape(size, dim))
+    z *= scale[:, None]
+    return z
 
 
 def sample_isotropic_stable(model, t, rng):
@@ -294,7 +412,8 @@ def sample_large_jumps(model, horizon, rng):
 
 
 def stable_increment_batch(model, t, n, rng):
-    """n independent draws of sample_isotropic_stable, shape (n, dim)."""
+    """n independent draws of sample_isotropic_stable, shape (n, dim), in a
+    new array."""
     if model.kind != "isotropic_stable":
         raise ParameterError("stable_increment_batch requires an isotropic_stable model")
     if t < 0:

@@ -126,9 +126,15 @@ def test_ensemble_path0_matches_interlaced_stream0():
 
 
 def test_ensemble_bytes_reproducible_across_threads():
-    for p in (OU, PURE_JUMP):
-        a = simulate_ensemble(p, 0.0, 1.0, StepConfig(dt=1e-2), 40_000, 99, threads=1)
-        b = simulate_ensemble(p, 0.0, 1.0, StepConfig(dt=1e-2), 40_000, 99, threads=4)
+    # exact_stable draws into its run's buffers: a buffer shared between the
+    # threads' chunks would show here
+    for p, cfg in (
+        (OU, StepConfig(dt=1e-2)),
+        (PURE_JUMP, StepConfig(dt=1e-2)),
+        (preset("mixing_jump"), StepConfig(dt=1e-2, exact_stable=True)),
+    ):
+        a = simulate_ensemble(p, 0.0, 1.0, cfg, 40_000, 99, threads=1)
+        b = simulate_ensemble(p, 0.0, 1.0, cfg, 40_000, 99, threads=4)
         assert a.terminal.tobytes() == b.terminal.tobytes()
 
 
@@ -180,22 +186,25 @@ def test_explosion_recorded_not_raised():
 
 
 def test_gaussian_correction_adds_matched_variance():
-    # with common random numbers the plain and corrected runs share their
-    # band jumps, so the ratio of empirical characteristic functions isolates
-    # the Gaussian factor exp(-t v xi^2 / 2), v = tail_mass(0, eps, 2)
-    from levylab.levy_noise import tail_mass
+    # g = z with sigma_bar = 1 makes both runs exact in law: the plain run is
+    # the jumps with |z| >= eps, E cos(xi X_t) = exp(t int_{|z|>=eps} (cos xi z - 1) nu(dz)),
+    # and the corrected run adds N(0, t v), v = tail_mass(0, eps, 2), for the
+    # factor exp(-t v xi^2 / 2); each run is held to its own law within 4 SE
+    from levylab.levy_noise import shell_rule, tail_mass
 
     p = problem_1d(g=lambda x, z: z + 0 * x, levy=M15, sigma_bar=lambda x: np.ones_like(x))
     t = 0.5
     eps = M15.big_jump_radius / 8.0
     v = tail_mass(M15, 0.0, eps, 2.0)
-    cfg_plain = StepConfig(dt=1e-2, small_jump_cutoff=eps)
-    cfg_gauss = StepConfig(dt=1e-2, small_jump_cutoff=eps, gaussian_correction=True)
-    e1 = simulate_ensemble(p, 0.0, t, cfg_plain, 200_000, 17)
-    e2 = simulate_ensemble(p, 0.0, t, cfg_gauss, 200_000, 17)
     xi = 1.0
-    ratio = np.mean(np.cos(xi * e2.terminal[:, 0])) / np.mean(np.cos(xi * e1.terminal[:, 0]))
-    assert ratio == pytest.approx(np.exp(-t * v * xi**2 / 2.0), abs=0.01)
+    rule = shell_rule(M15, eps, np.inf)
+    plain = np.exp(t * rule.integrate(np.cos(xi * rule.nodes) - 1.0))
+    for cfg, want in (
+        (StepConfig(dt=1e-2, small_jump_cutoff=eps), plain),
+        (StepConfig(dt=1e-2, small_jump_cutoff=eps, gaussian_correction=True), plain * np.exp(-t * v * xi**2 / 2.0)),
+    ):
+        c = np.cos(xi * simulate_ensemble(p, 0.0, t, cfg, 200_000, 17).terminal[:, 0])
+        assert abs(np.mean(c) - want) <= 4.0 * np.std(c) / np.sqrt(len(c))
 
 
 def test_path_csv_format():

@@ -89,6 +89,68 @@ def test_bit_reproducibility():
         assert u.time == v.time and np.array_equal(u.mark, v.mark)
 
 
+def cms_sin_cos(alpha, u, w):
+    # the Chambers-Mallows-Stuck formula as first written, with sin, cos and powers
+    s = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+    return s * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 1.2, 1.5, 1.9, 1.999])
+def test_trig_free_transform_matches_the_sin_cos_formula(alpha):
+    from levylab.levy_noise import _cms_transform
+
+    rng = np.random.default_rng(int(1000 * alpha))
+    n = 1_000_000
+    u = rng.uniform(-np.pi / 2 + 1e-6, np.pi / 2 - 1e-6, n)
+    w = rng.exponential(1.0, n)
+    ref = cms_sin_cos(alpha, u, w)
+    got = _cms_transform(alpha, u.copy(), w.copy(), np.empty(n), np.empty(n))
+    live = ref != 0.0
+    assert np.array_equal(got[~live], ref[~live])
+    assert np.max(np.abs(got[live] / ref[live] - 1.0)) <= 1e-9
+    # finite wherever the formula is, out to the ends of [-pi/2, pi/2)
+    edge = np.nextafter(np.pi / 2, 0.0)
+    u = np.array([-np.pi / 2, -edge, edge, 0.0, 1e-300, -1e-300, 1e-8])
+    w = np.array([1.0, 1e-3, 1e-3, 1.0, 1.0, 30.0, 1e-9])
+    ref = cms_sin_cos(alpha, u, w)
+    got = _cms_transform(alpha, u.copy(), w.copy(), np.empty(len(u)), np.empty(len(u)))
+    assert np.all(np.isfinite(ref)) and np.all(np.isfinite(got))
+    assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("rho", [0.15, 0.45, 0.75, 0.95])
+def test_trig_free_kanter_matches_the_sin_formula(rho):
+    from levylab.levy_noise import _kanter_log
+
+    rng = np.random.default_rng(int(100 * rho))
+    n = 200_000
+    th = rng.uniform(1e-6, np.pi - 1e-6, n)
+    w = rng.exponential(1.0, n)
+    a = np.sin(rho * th) ** rho * np.sin((1.0 - rho) * th) ** (1.0 - rho) / np.sin(th)
+    ref = (a ** (1.0 / (1.0 - rho)) / w) ** ((1.0 - rho) / rho)
+    got = np.exp(_kanter_log(rho, th / 2.0, w.copy(), np.empty(n), np.empty(n)))
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-9
+
+
+def test_alpha_one_draw_is_tan_u_and_draws_no_exponential():
+    m = LevyModel(alpha=1.0, dim=1, big_jump_radius=1.0)
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    x = stable_increment_batch(m, 1.0, 10_000, a)[:, 0]
+    u = b.uniform(-np.pi / 2, np.pi / 2, 10_000)
+    assert np.array_equal(x, np.tan(u))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_successive_batches_share_no_memory(dim):
+    m = LevyModel(alpha=1.5, dim=dim, big_jump_radius=1.0)
+    rng = np.random.default_rng(10)
+    a = stable_increment_batch(m, 0.5, 1000, rng)
+    b = stable_increment_batch(m, 0.5, 1000, rng)
+    assert not np.shares_memory(a, b)
+    assert not np.array_equal(a, b)
+
+
 def test_large_jump_rate_and_interarrivals():
     rng = np.random.default_rng(5)
     horizon = 10.0

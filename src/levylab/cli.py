@@ -25,8 +25,6 @@ import sys
 import time
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import norm as _norm
 
 from levylab import density_lab, ergodicity, inequality_lab, pide_zvonkin
 from levylab.errors import LevyLabError, ParameterError, SchemaError
@@ -237,7 +235,7 @@ def build_problem(raw):
     )
 
 
-def _step_config(numerics, levy=None):
+def _step_config(numerics):
     return StepConfig(
         dt=float(numerics.get("dt", 1e-3)),
         small_jump_cutoff=numerics.get("epsilon"),

@@ -9,7 +9,7 @@ bridge used whenever simulated laws are compared against references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -19,7 +19,7 @@ from levylab.errors import (
     SampleStarvedError,
     TailAccuracyError,
 )
-from levylab.integrator import _Engine, _run_chunk, CHUNK_SIZE
+from levylab.integrator import _Engine, _run_paths
 from levylab.levy_noise import levy_constant
 
 __all__ = [
@@ -297,18 +297,9 @@ def killed_density(p, domain, t, x, eval_points, n_paths, seed, cfg):
     if not (lo < x < hi):
         raise ParameterError(f"start x={x} outside the open domain ({lo}, {hi})")
     eval_points = np.asarray(eval_points, dtype=float)
-    survivors = []
-    n_dead = 0
-    master = int(seed)
-    starts = list(range(0, n_paths, CHUNK_SIZE))
     eng = _Engine(p, cfg, absorb=domain)
-    for ci, lo_i in enumerate(starts):
-        w = min(CHUNK_SIZE, n_paths - lo_i)
-        res = _run_chunk(eng, np.full((w, p.dim), float(x)), t, master, ci)
-        ok = ~np.isfinite(res["absorbed_at"]) & ~np.isfinite(res["exploded_at"])
-        survivors.append(res["X"][ok, 0])
-        n_dead += int(np.sum(~ok))
-    survivors = np.concatenate(survivors)
+    res = _run_paths(eng, np.full((n_paths, p.dim), float(x)), t, int(seed))
+    survivors = res["X"][~np.isfinite(res["absorbed_at"]) & ~np.isfinite(res["exploded_at"]), 0]
     survival = len(survivors) / n_paths
     if survival < 1e-3:
         raise SampleStarvedError(

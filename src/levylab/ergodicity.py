@@ -19,7 +19,7 @@ from levylab.errors import (
     SampleStarvedError,
     SignalTooWeakError,
 )
-from levylab.integrator import _draw_jumps, _Engine, _streams, simulate_ensemble
+from levylab.integrator import simulate_ensemble
 from levylab.levy_noise import shell_rule
 
 __all__ = [
@@ -175,32 +175,23 @@ def estimate_invariant(
 ):
     """Estimate the invariant law from (possibly pooled) long interlaced chains.
 
-    One chain realizes the ergodic time average directly; multi-chain mode
-    pools per-chain seeds for a cross-check and for wall-clock parallelism.
-    ``thinning`` counts base steps between retained states.
+    One chain realizes the ergodic time average directly; n_chains > 1
+    chains run side by side, as a cross-check and for speed.  The chains are
+    one ``simulate_ensemble`` run of n_chains paths from x0 keyed by the int
+    ``seed``, so they share its chunked streams.  Each chain keeps its state
+    every ``thinning`` base steps after ``burn_in``; the samples are laid out
+    chain after chain.
     """
     if n_samples < 1 or n_chains < 1 or thinning < 1:
         raise ParameterError("n_samples, n_chains, thinning must all be >= 1")
+    if burn_in < 0:
+        raise ParameterError(f"burn_in must be >= 0, got {burn_in}")
     per_chain = int(math.ceil(n_samples / n_chains))
-    seg_len = thinning * cfg.dt
-    flow, jumps = _streams(seed)
-    eng = _Engine(p, cfg)
-
-    X = np.full((n_chains, p.dim), float(x0))
-
-    def advance(X, t_len):
-        res = eng.run(X, 0.0, t_len, flow, _draw_jumps(p, cfg, n_chains, t_len, jumps))
-        if np.any(np.isfinite(res["exploded_at"])):
-            raise SampleStarvedError("explosion during invariant-measure simulation")
-        return res["X"]
-
-    if burn_in > 0:
-        X = advance(X, burn_in)
-    out = np.empty((per_chain, n_chains))
-    for k in range(per_chain):
-        X = advance(X, seg_len)
-        out[k] = X[:, 0]
-    samples = out.T.ravel()[:n_samples]
+    times = burn_in + thinning * cfg.dt * np.arange(1, per_chain + 1)
+    ens = simulate_ensemble(p, float(x0), float(times[-1]), cfg, n_chains, seed, snapshot_times=times)
+    if np.any(np.isfinite(ens.exploded_at)):
+        raise SampleStarvedError("explosion during invariant-measure simulation")
+    samples = ens.snapshots[:, :, 0].T.ravel()[:n_samples]
     return EmpiricalMeasure.from_samples(samples, width=width, keep_samples=keep_samples)
 
 
@@ -235,16 +226,13 @@ def _lyapunov_generator_1d(p, x):
         model = p.levy
         inner = shell_rule(model, 0.0, model.big_jump_radius)
         outer = shell_rule(model, model.big_jump_radius, np.inf)
-        g_out = p.g_pairs(0.0, xs, outer.nodes)
-        # divergence screen for the uncompensated tail (needs Gamma^{0,1}_{R,inf})
-        expo = outer.end_exponents(np.abs(g_out))[1]
-        if expo is not None and np.any(expo - model.alpha >= -1e-9):
-            raise DivergenceError(
-                "large-jump integral Gamma^{0,1}_{R,inf}(g) diverges: "
-                f"|g| grows with exponent {float(np.nanmax(expo)):.3f} >= alpha = {model.alpha}"
-            )
         val = val + inner.integrate(_h_taylor_remainder(xs[:, None], p.g_pairs(0.0, xs, inner.nodes)))
-        val = val + outer.integrate(_h(xs[:, None] + g_out) - _h(xs)[:, None])
+        jumped = _h(xs[:, None] + p.g_pairs(0.0, xs, outer.nodes)) - _h(xs)[:, None]
+        try:
+            tail = outer.integrate(jumped)
+        except DivergenceError as e:
+            raise DivergenceError(f"large-jump integral Gamma^{{0,1}}_{{R,inf}}(g) diverges: {e}") from e
+        val = val + tail
     return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
 
 

@@ -35,12 +35,16 @@ One normal draw of B W rows is the stream of B draws of W rows, so a run
 whose only noise is Brownian draws as a step-by-step loop would.
 
 Determinism: every simulation is keyed by a seed (int or SeedSequence) from
-which a (flow, jumps) stream pair is derived; the ensemble keys chunk i of
-``CHUNK_SIZE`` paths by (master_seed, i), so results are bit-identical across
-runs and across worker counts.  A one-path train is the single-path draw, so a
-one-path ensemble equals ``simulate_interlaced`` on the chunk's seed, and an
-interlaced run whose jump stream drew no events consumes exactly the flow
-draws of the small-jump simulator (DECISIONS.md).
+which a (flow, jumps) stream pair is derived.  Every ensemble runs through
+``_run_paths``: ``simulate_ensemble`` (and through it
+``ergodicity.estimate_invariant``, whose chains are one ensemble read at its
+snapshot times) and ``density_lab.killed_density``.  It keys chunk i of
+``CHUNK_SIZE`` paths by (master_seed, i), draws the chunk's large jumps as
+one train over the whole run and joins the chunks in path order, so results
+are bit-identical across runs and across worker counts.  A one-path train is
+the single-path draw, so a one-path ensemble equals ``simulate_interlaced`` on
+the chunk's seed, and an interlaced run whose jump stream drew no events
+consumes exactly the flow draws of the small-jump simulator (DECISIONS.md).
 """
 
 from __future__ import annotations
@@ -406,15 +410,15 @@ class _Engine:
         grid = t0 + self.cfg.dt * np.arange(n_steps + 1)
         if n_steps:
             grid[-1] = t1
-        snap_at = {}
-        if self.snapshot_times is not None:
-            sel = self.snapshot_times[(self.snapshot_times > t0) & (self.snapshot_times <= t1)]
-            grid = np.union1d(grid, sel)
-            keep = np.concatenate([[True], np.diff(grid) > 1e-9 * self.cfg.dt])
-            grid = grid[keep]
-            for s in sel:
-                snap_at[int(np.argmin(np.abs(grid - s)))] = float(s)
-        return grid, snap_at
+        if self.snapshot_times is None:
+            return grid, {}
+        sel = self.snapshot_times[(self.snapshot_times > t0) & (self.snapshot_times <= t1)]
+        grid = np.union1d(grid, sel)
+        grid = grid[np.concatenate([[True], np.diff(grid) > 1e-9 * self.cfg.dt])]
+        # each snapshot time goes to its nearest grid point, the earlier on a tie
+        at = np.searchsorted(grid, sel).clip(1, len(grid) - 1)
+        at -= sel - grid[at - 1] <= grid[at] - sel
+        return grid, dict(zip(at.tolist(), sel.tolist()))
 
     def run(self, x0, t0, t1, rng, jumps=None):
         """Advance paths x0 (W, d) from t0 to t1; ``jumps`` is a W-path JumpTrain
@@ -533,10 +537,27 @@ def _draw_jumps(p, cfg, n_paths, horizon, rng):
     return sample_large_jumps(p.levy, n_paths * horizon, rng).windows(n_paths, horizon)
 
 
-def _run_chunk(eng, x0s, horizon, master_seed, ci):
-    """Chunk ci of an ensemble: its streams are keyed by (master_seed, ci)."""
-    flow, jrng = _streams(np.random.SeedSequence(entropy=master_seed, spawn_key=(ci,)))
-    return eng.run(x0s, 0.0, horizon, flow, _draw_jumps(eng.p, eng.cfg, len(x0s), horizon, jrng))
+def _run_paths(eng, x0s, horizon, master_seed, threads=None):
+    """Run the paths x0s (n, d) of ``eng`` from 0 to horizon in chunks of
+    ``CHUNK_SIZE``, chunk i on the streams keyed by (master_seed, i), on up to
+    ``threads`` worker threads.  Returns the ``_Engine.run`` outputs of the
+    chunks joined in path order, so they do not depend on the worker count."""
+    starts = range(0, len(x0s), CHUNK_SIZE)
+
+    def run_chunk(ci):
+        x = x0s[starts[ci] : starts[ci] + CHUNK_SIZE]
+        flow, jrng = _streams(np.random.SeedSequence(entropy=master_seed, spawn_key=(ci,)))
+        return eng.run(x, 0.0, horizon, flow, _draw_jumps(eng.p, eng.cfg, len(x), horizon, jrng))
+
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            runs = list(pool.map(run_chunk, range(len(starts))))
+    else:
+        runs = [run_chunk(ci) for ci in range(len(starts))]
+    out = {key: np.concatenate([r[key] for r in runs]) for key in ("X", "exploded_at", "absorbed_at")}
+    out["snaps"] = {s: np.concatenate([r["snaps"][s] for r in runs]) for s in runs[0]["snaps"]}
+    out["integral"] = None if eng.integrand is None else np.concatenate([r["integral"] for r in runs])
+    return out
 
 
 def simulate_small_jump_path(p, x0, t0, t1, cfg, seed):
@@ -614,43 +635,16 @@ def simulate_ensemble(
     if x0s.shape != (n_paths, p.dim):
         raise ParameterError(f"x0s has shape {x0s.shape}, expected ({n_paths}, {p.dim})")
 
-    snapshot_times = (
-        None if snapshot_times is None else np.sort(np.asarray(snapshot_times, dtype=float))
-    )
-    starts = list(range(0, n_paths, CHUNK_SIZE))
     eng = _Engine(p, cfg, snapshot_times=snapshot_times, integrand=time_integrand)
-
-    def run_chunk(ci):
-        lo = starts[ci]
-        return ci, _run_chunk(eng, x0s[lo : lo + CHUNK_SIZE], horizon, master_seed, ci)
-
-    results = [None] * len(starts)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for ci, res in pool.map(run_chunk, range(len(starts))):
-                results[ci] = res
-    else:
-        for ci in range(len(starts)):
-            _, results[ci] = run_chunk(ci)
-
-    terminal = np.concatenate([r["X"] for r in results], axis=0)
-    exploded = np.concatenate([r["exploded_at"] for r in results])
-    snaps = None
+    res = _run_paths(eng, x0s, horizon, master_seed, threads)
+    snapshot_times, snaps, integrals = eng.snapshot_times, None, res["integral"]
     if snapshot_times is not None:
-        snaps = np.stack(
-            [
-                np.concatenate([r["snaps"][float(t)] for r in results], axis=0)
-                for t in snapshot_times
-            ]
-        )
-    integrals = None
-    if time_integrand is not None:
-        integrals = np.concatenate([r["integral"] for r in results], axis=0)
-        if integrals.shape[1] == 1:
-            integrals = integrals[:, 0]
+        snaps = np.stack([res["snaps"][t] for t in snapshot_times.tolist()])
+    if integrals is not None and integrals.shape[1] == 1:
+        integrals = integrals[:, 0]
     return Ensemble(
-        terminal=terminal,
-        exploded_at=exploded,
+        terminal=res["X"],
+        exploded_at=res["exploded_at"],
         snapshot_times=snapshot_times,
         snapshots=snaps,
         integrals=integrals,

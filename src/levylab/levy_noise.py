@@ -55,6 +55,7 @@ RULE_ORDER = 8
 PANELS_PER_DECADE = 4
 RULE_LO, RULE_HI = 1e-9, 1e8
 PROBE_RATIO = 100.0
+SCREEN_MARGIN = 1e-9
 _GL = np.polynomial.legendre.leggauss(RULE_ORDER)
 
 
@@ -506,15 +507,16 @@ class ShellRule:
         total = values @ self.weights
         at, alpha = self._at_probes(values), self.model.alpha
         # beyond a cut r, f ~ f(r) (s/r)^e against area s^(-1-alpha) ds gives
-        # f(r) area r^(-alpha) / gap, gap = e - alpha at 0 and alpha - e at inf
-        for e, sign, k, end in zip(self.end_exponents(values), (1.0, -1.0), (0, -1), ("0", "inf")):
+        # f(r) area r^(-alpha) / gap, gap = e - alpha at 0 and alpha - e at inf;
+        # a gap within SCREEN_MARGIN of 0 counts as divergent
+        for e, sign, k, end in zip(self.end_exponents(values), (1.0, -1.0), (0, -1), ("r1=0", "r2=inf")):
             if e is None:
                 continue
             gap = sign * (e - alpha)
             live = np.isfinite(gap)
-            if np.any(live & (gap <= 0.0)):
+            if np.any(live & (gap <= SCREEN_MARGIN)):
                 raise DivergenceError(
-                    f"integral against nu diverges at |z| -> {end}: the local exponent "
+                    f"integral against nu diverges at {end}: the local exponent "
                     f"misses alpha = {alpha} by {float(np.nanmin(gap)):.3g}"
                 )
             scale = sphere_area(self.model.dim) * self.edges[k] ** (-alpha)

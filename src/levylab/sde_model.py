@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from levylab.errors import DivergenceError, EvaluationError, ParameterError
+from levylab.errors import EvaluationError, ParameterError
 from levylab.levy_noise import LevyModel, shell_rule
 
 __all__ = [
@@ -409,21 +409,6 @@ def gamma_moment(p, x, j, alpha_prime, r1, r2):
 
     rule = shell_rule(p.levy, r1, r2)
     mag = _jump_derivative(p, 0.0, x, rule.nodes, j)
-    # divergence screening from measured local growth exponents
-    e_lo, e_hi = rule.end_exponents(mag)
-    alpha = p.levy.alpha
-    if e_lo is not None and np.any(alpha_prime * e_lo - alpha <= 1e-9):
-        expo = float(np.nanmin(e_lo))
-        raise DivergenceError(
-            f"gamma_moment diverges at r1=0: local exponent {expo:.3f} gives "
-            f"alpha'*exponent = {alpha_prime * expo:.3f} <= alpha = {alpha}"
-        )
-    if e_hi is not None and np.any(alpha_prime * e_hi - alpha >= -1e-9):
-        expo = float(np.nanmax(e_hi))
-        raise DivergenceError(
-            f"gamma_moment diverges at r2=inf: local exponent {expo:.3f} gives "
-            f"alpha'*exponent = {alpha_prime * expo:.3f} >= alpha = {alpha}"
-        )
     out = rule.integrate(mag**alpha_prime)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 

@@ -39,6 +39,7 @@ from levylab.inequality_lab import (
     stochastic_gronwall_check,
 )
 from levylab.integrator import (
+    CHUNK_SIZE,
     StepConfig,
     simulate_ensemble,
     simulate_interlaced,
@@ -401,10 +402,11 @@ def test_criterion_10_strong_feller_modulus():
 def test_criterion_11_byte_determinism(tmp_path):
     from levylab.cli import main
 
+    # a runner that forwards --threads, over more paths than one chunk
     cfg = {
-        "experiment": "invariant",
-        "problem": {"sigma": "2^0.5", "b": "-x"},
-        "numerics": {"dt": 0.01, "n_samples": 5000, "burn_in": 2.0, "thinning": 10, "n_chains": 25},
+        "experiment": "zvonkin_crossval",
+        "problem": "ou_singular",
+        "numerics": {"dt": 0.01, "horizon": 0.5, "grid": {"lo": -4.0, "hi": 4.0, "n": 201}, "n_paths": CHUNK_SIZE + 3616},
         "seed": 1111,
         "output_dir": str(tmp_path / "out"),
     }

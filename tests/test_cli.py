@@ -9,6 +9,7 @@ import pytest
 
 from levylab.cli import apply_checks, build_problem, load_config, main, run, validate_config
 from levylab.errors import SchemaError
+from levylab.integrator import CHUNK_SIZE
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -120,7 +121,9 @@ class TestRun:
         assert os.path.exists(os.path.join(out, "histogram.csv"))
 
     def test_byte_reproducible_across_threads(self, tmp_path):
-        path, cfg = write_config(tmp_path)
+        # zvonkin_crossval forwards --threads; its ensembles span two chunks
+        numerics = {"dt": 0.01, "horizon": 0.5, "grid": {"lo": -4.0, "hi": 4.0, "n": 201}, "n_paths": CHUNK_SIZE + 100}
+        path, cfg = write_config(tmp_path, experiment="zvonkin_crossval", problem="ou_singular", numerics=numerics)
         assert main(["run", path, "--threads", "1"]) == 0
         first = Path(os.path.join(cfg["output_dir"], "results.json")).read_bytes()
         assert main(["run", path, "--threads", "4"]) == 0

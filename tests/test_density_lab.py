@@ -232,6 +232,20 @@ class TestKilled:
         )
         assert np.all(est.values <= free.values + 3 * np.hypot(est.se, free.se))
 
+    def test_domain_no_path_leaves_gives_the_free_density(self):
+        # two chunks, Brownian and with spliced large jumps: the killed and
+        # the free runs share one chunk loop, so the bytes agree
+        from levylab.integrator import CHUNK_SIZE, simulate_ensemble
+
+        pts = np.linspace(-1.0, 1.0, 9)
+        n = CHUNK_SIZE + 1000
+        for p in (problem_1d(sigma=lambda x: np.ones_like(x)), problem_1d(g=lambda x, z: z + 0 * x, levy=M15)):
+            est, survival, _ = killed_density(p, (-1e9, 1e9), 0.2, 0.0, pts, n, 5, StepConfig(dt=1e-2))
+            free = kde_density(simulate_ensemble(p, 0.0, 0.2, StepConfig(dt=1e-2), n, 5).terminal[:, 0], pts)
+            assert survival == 1.0
+            assert est.values.tobytes() == free.values.tobytes()
+            assert est.se.tobytes() == free.se.tobytes()
+
     def test_sample_starved(self):
         p = problem_1d(drift=lambda x: 50.0 * np.ones_like(x))  # races out of the domain
         with pytest.raises(SampleStarvedError):

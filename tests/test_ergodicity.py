@@ -42,9 +42,25 @@ class TestInvariant:
         assert abs(em.mean) < 3 * se
 
     def test_burn_in_doubling_invariance_ks(self):
-        a = estimate_invariant(OU, 5.0, 20_000, 40, CFG, seed=17, n_chains=50, keep_samples=True)
-        b = estimate_invariant(OU, 10.0, 20_000, 40, CFG, seed=19, n_chains=50, keep_samples=True)
-        assert stats.ks_2samp(a.samples, b.samples).pvalue > 0.01
+        # KS needs independent states: two per chain at lag 4 (correlation
+        # e^-4 = 0.018), the first 0.4 after the burn-in, so that a burn-in
+        # too short to forget x0 = 3 shows (burn-ins 0.5 and 1 give p ~ 1e-11)
+        def states(burn_in, seed):
+            em = estimate_invariant(OU, burn_in, 11_000, 40, CFG, seed=seed, n_chains=1000, x0=3.0, keep_samples=True)
+            return em.samples.reshape(1000, 11)[:, ::10].ravel()
+
+        assert stats.ks_2samp(states(5.0, 17), states(10.0, 19)).pvalue > 0.01
+
+    def test_samples_are_the_ensemble_snapshots_chain_by_chain(self):
+        # 7 chains of 15 states (105 > 100 samples): the chains are one seeded
+        # ensemble read every thinning steps after the burn-in
+        p, cfg = preset("mixing_jump"), StepConfig(dt=1e-2)
+        em = estimate_invariant(p, 0.5, 100, 4, cfg, seed=41, n_chains=7, x0=0.3, keep_samples=True)
+        times = 0.5 + 4 * cfg.dt * np.arange(1, 16)
+        ens = simulate_ensemble(p, 0.3, times[-1], cfg, 7, 41, snapshot_times=times)
+        chains = ens.snapshots[:, :, 0].T
+        np.testing.assert_array_equal(em.samples[:90].reshape(6, 15), chains[:6])
+        np.testing.assert_array_equal(em.samples[90:], chains[6, :10])
 
     def test_stationarity_fixed_point(self):
         em = estimate_invariant(OU, 8.0, 30_000, 40, CFG, seed=23, n_chains=60, keep_samples=True)

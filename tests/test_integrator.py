@@ -533,6 +533,28 @@ def test_zero_length_runs_return_the_start():
     np.testing.assert_array_equal(ens.integrals, 0.0)
 
 
+def test_snapshot_times_map_to_their_nearest_grid_points():
+    # times a rounding error off the base points keep the grid uniform and
+    # take those points; times between base points join the grid
+    dt, rng = 0.01, np.random.default_rng(4)
+    k = np.arange(1, 2001)
+    for times, rounded in (
+        (0.1 * k, True),
+        (np.cumsum(np.full(2000, 0.1)), True),
+        (np.concatenate([[1e-13], rng.uniform(0.0, 200.0, 3000)]), False),
+    ):
+        grid, snap_at = _Engine(OU, StepConfig(dt=dt), snapshot_times=times)._grid(0.0, 200.0)
+        at = np.array(list(snap_at))
+        np.testing.assert_array_equal(list(snap_at.values()), np.sort(times))
+        np.testing.assert_array_equal(at, [np.argmin(np.abs(grid - s)) for s in np.sort(times)])
+        if rounded:
+            assert len(grid) == 20_001
+            np.testing.assert_array_equal(at, 10 * k)
+        else:
+            assert at[0] == 0
+            np.testing.assert_array_equal(grid[at[1:]], np.sort(times)[1:])
+
+
 def test_snapshot_within_rounding_of_the_start_takes_the_start():
     # a snapshot time within 1e-9 dt of t0 falls on grid point 0
     ens = simulate_ensemble(OU, 0.7, 1.0, StepConfig(dt=0.1), 4, 2, snapshot_times=[1e-12, 0.5])

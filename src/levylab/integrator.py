@@ -14,14 +14,16 @@ on [0, W T) whose i-th window belongs to path i, held as a ``JumpTrain`` (flat
 times and marks with per-path offsets).  They are drawn before the paths are
 stepped, so every path's jump-adapted grid is known up front, and
 ``jump_grid.blocks`` cuts a run into blocks of B base steps (B W <=
-``BLOCK_CELLS``, cut at every snapshot point).  ``_Engine.run`` steps a block
+``BLOCK_CELLS``; snapshot points cut none).  ``_Engine.run`` steps a block
 pass by pass: pass j moves every path over the j-th interval of its own grid,
 so a path that jumped runs one pass behind, and catch-up passes go over the
 paths with more jumps in the block.  After each pass one g call splices the
-paths whose interval ended at a large jump.  Until the block's first jump
-every path stands on the base step and a pass takes one scalar time and step
-length; after it the coefficients get each row's own time as an array.
-While every path lives no pass takes an alive mask.
+paths whose interval ended at a large jump, and the paths that then stand on
+a snapshot point are written into the run's one snapshot array
+(``Block.reads``).  Until the block's first jump every path stands on the
+base step and a pass takes one scalar time and step length; after it the
+coefficients get each row's own time as an array.  While every path lives
+no pass takes an alive mask.
 
 Noise comes block by block, one call per kind over the block's cells (one cell
 per path and pass): the Brownian normals, the ``exact_stable`` increments, the
@@ -129,8 +131,6 @@ class Ensemble:
     snapshot_times: np.ndarray | None = None
     snapshots: np.ndarray | None = None  # (n_snapshots, n_paths, dim)
     integrals: np.ndarray | None = None
-    n_paths: int = 0
-    master_seed: int | None = None
 
     @property
     def explosion_rate(self):
@@ -177,16 +177,9 @@ class _SmallJumpBand:
             self.gauss_var_unit = tail_mass(p.levy, 0.0, self.eps, 2.0) / p.levy.dim
 
     def _probe_odd(self, p):
-        if p.sigma_bar is not None:
-            return True
-        probe_x = np.array([0.3, -0.7, 1.9])
-        if p.dim > 1:
-            probe_x = np.tile(probe_x[:, None], (1, p.dim))
-        for z in (0.2, 0.9 * self.big_r):
-            zz = np.full_like(probe_x, z)
-            if not np.allclose(p.g(0.0, probe_x, zz), -p.g(0.0, probe_x, -zz), atol=1e-12):
-                return False
-        return True
+        probe_x = _probe_states(p.dim)
+        zs = [np.full_like(probe_x, z) for z in (0.2, 0.9 * self.big_r)]
+        return p.sigma_bar is not None or all(np.allclose(p.g(0.0, probe_x, z), -p.g(0.0, probe_x, -z), atol=1e-12) for z in zs)
 
     def cells(self, block, rng, work):
         """The band jumps of the cells of ``block`` (a ``jump_grid.Block``).
@@ -235,12 +228,15 @@ class _SmallJumpBand:
         return self.rule.integrate(self.p.g_pairs(t, x, self.rule.nodes)).reshape(np.shape(x))
 
 
+def _probe_states(dim):
+    probe_x = np.array([0.3, -0.7, 1.9])
+    return probe_x if dim == 1 else np.tile(probe_x[:, None], (1, dim))
+
+
 def _check_multiplicative(p):
     """Refuse a declared sigma_bar that does not give g(t, x, z) = sigma_bar(t, x) z
     on probe points: the exact_stable step and the band sum use it in place of g."""
-    probe_x = np.array([0.3, -0.7, 1.9])
-    if p.dim > 1:
-        probe_x = np.tile(probe_x[:, None], (1, p.dim))
+    probe_x = _probe_states(p.dim)
     for t in (0.0, 1.0):
         sb = np.asarray(p.sigma_bar(t, probe_x), dtype=float).reshape(len(probe_x), 1)
         for z in (0.2, -1.7):
@@ -277,9 +273,7 @@ class _Engine:
         self.p = p
         self.cfg = cfg
         self.record = record
-        self.snapshot_times = (
-            None if snapshot_times is None else np.sort(np.asarray(snapshot_times, dtype=float))
-        )
+        self.snapshot_times = None if snapshot_times is None else np.sort(np.asarray(snapshot_times, dtype=float))
         self.integrand = integrand
         self.absorb = absorb  # (lo, hi): kill on exit, checked at grid and jump times
         self.exact = cfg.exact_stable
@@ -354,11 +348,9 @@ class _Engine:
         # each row's own time, shaped to broadcast against x_arg
         tx = t[:, None] if d > 1 and isinstance(t, np.ndarray) else t
         hc = h[:, None] if isinstance(h, np.ndarray) else h
-        upd = np.zeros((W, d))
-
         # singular coefficients carry their own |x| v eps floor (sign(0) = 0
         # semantics); an engine-side floor would kick exact-zero states
-        upd += p.b(tx, x_arg).reshape(W, d) * hc
+        upd = p.b(tx, x_arg).reshape(W, d) * hc
 
         if p.sigma is not None:
             sig = np.asarray(p.sigma_eval(tx, x_arg), dtype=float)
@@ -401,7 +393,8 @@ class _Engine:
         return np.where(alive[:, None], X_in + upd, X_in)
 
     def _grid(self, t0, t1):
-        """The base grid from t0 to t1 and the grid index of each snapshot time."""
+        """The base grid from t0 to t1 and the grid index of each snapshot time
+        in (t0, t1], in order."""
         n_steps = int(math.ceil((t1 - t0) / self.cfg.dt - 1e-12)) if t1 > t0 else 0
         if n_steps > self.cfg.max_steps:
             raise TruncationError(
@@ -411,30 +404,32 @@ class _Engine:
         if n_steps:
             grid[-1] = t1
         if self.snapshot_times is None:
-            return grid, {}
+            return grid, np.empty(0, dtype=np.intp)
         sel = self.snapshot_times[(self.snapshot_times > t0) & (self.snapshot_times <= t1)]
         grid = np.union1d(grid, sel)
         grid = grid[np.concatenate([[True], np.diff(grid) > 1e-9 * self.cfg.dt])]
         # each snapshot time goes to its nearest grid point, the earlier on a tie
         at = np.searchsorted(grid, sel).clip(1, len(grid) - 1)
         at -= sel - grid[at - 1] <= grid[at] - sel
-        return grid, dict(zip(at.tolist(), sel.tolist()))
+        return grid, at
 
     def run(self, x0, t0, t1, rng, jumps=None):
         """Advance paths x0 (W, d) from t0 to t1; ``jumps`` is a W-path JumpTrain
-        with times in [t0, t1], or None."""
+        with times in [t0, t1], or None.  ``snaps`` of the result holds each
+        path's states at the snapshot points, shape (W, n_snapshots, d)."""
         p = self.p
         X = np.array(x0, dtype=float, copy=True)
         W, d = X.shape
         exploded_at = np.full(W, np.nan)
         absorbed_at = np.full(W, np.nan)
         alive = np.ones(W, dtype=bool)
-        grid, snap_at = self._grid(t0, t1)
+        grid, at = self._grid(t0, t1)
+        # each path's states at the snapshot points; one within rounding of t0 takes x0
+        snaps = np.empty((W, len(at), d))
+        snaps[:, at == 0] = X[:, None]
 
         rec_times, rec_states, rec_isjump = [t0], [X.copy()], [False]
         recording = self.record and W == 1
-        # a snapshot within rounding of t0 takes the starting states
-        snaps = {snap_at[0]: X.copy()} if 0 in snap_at else {}
         f_prev = self._eval_f(t0, X) if self.integrand is not None else None
         integral = np.zeros_like(f_prev) if self.integrand is not None else None
 
@@ -449,6 +444,8 @@ class _Engine:
             """Kill the live paths of ``rows`` (states ``Xr``) that left the bound
             (NaN fails its compare too) or the absorbing interval, at the times
             ``when()``; returns how many died."""
+            if self.absorb is None and len(Xr) and np.abs(Xr).max() <= EXPLOSION_BOUND:
+                return 0
             inside = np.abs(Xr) <= EXPLOSION_BOUND
             died = 0
             if not inside.all():
@@ -461,8 +458,9 @@ class _Engine:
             return died
 
         work = _Work()
-        n_dead = 0
-        for block in blocks(grid, W, snap_at, jumps, alive):
+        n_dead = k0 = 0
+        for block in blocks(grid, W, jumps, alive):
+            reads, k0 = block.reads(at - k0), k0 + block.nb
             noise = self.draw(block, rng, work)
             for j in range(block.n_passes):
                 rows, lo, hi, t, h = block.row(j)
@@ -488,39 +486,30 @@ class _Engine:
                     rec_isjump.append(False)
 
                 spliced = block.spliced(j)
-                if spliced is None:
-                    continue
-                e, jw, step_ends = spliced
-                if n_dead:
-                    keep = alive[jw]
-                    e, jw, step_ends = e[keep], jw[keep], step_ends[keep]
-                if not len(e):
-                    continue
-                # the splice: one g call over every path whose interval ends at its jump
-                tj, Xw = jumps.times[e], X[jw]
-                if d == 1:
-                    gj = p.g(tj, Xw[:, 0], jumps.marks[e, 0])
-                else:
-                    gj = p.g(tj[:, None], Xw, jumps.marks[e])
-                Xw += gj.reshape(len(jw), d)
-                X[jw] = Xw
-                n_dead += check_explode(jw, Xw, lambda: step_ends)
-                if integral is not None:
-                    f_prev[jw] = self._eval_f(tj, Xw)
-                if recording:
-                    rec_times.append(rec_times[-1])
-                    rec_states.append(X.copy())
-                    rec_isjump.append(True)
-            if block.k1 in snap_at:
-                snaps[snap_at[block.k1]] = X.copy()
+                if spliced is not None and n_dead:
+                    spliced = tuple(v[alive[spliced[1]]] for v in spliced)
+                if spliced is not None and len(spliced[0]):
+                    # the splice: one g call over every path whose interval ends at its jump
+                    e, jw, step_ends = spliced
+                    tj, Xw = jumps.times[e], X[jw]
+                    if d == 1:
+                        gj = p.g(tj, Xw[:, 0], jumps.marks[e, 0])
+                    else:
+                        gj = p.g(tj[:, None], Xw, jumps.marks[e])
+                    Xw += gj.reshape(len(jw), d)
+                    X[jw] = Xw
+                    n_dead += check_explode(jw, Xw, lambda: step_ends)
+                    if integral is not None:
+                        f_prev[jw] = self._eval_f(tj, Xw)
+                    if recording:
+                        rec_times.append(rec_times[-1])
+                        rec_states.append(X.copy())
+                        rec_isjump.append(True)
+                for i, rows in reads.get(j, ()):
+                    snaps[rows, i] = X[rows]
+            del noise  # the next block's draw then holds one block's noise, not two
 
-        out = {
-            "X": X,
-            "exploded_at": exploded_at,
-            "absorbed_at": absorbed_at,
-            "snaps": snaps,
-            "integral": integral,
-        }
+        out = {"X": X, "exploded_at": exploded_at, "absorbed_at": absorbed_at, "snaps": snaps, "integral": integral}
         if recording:
             out["times"] = np.array(rec_times)
             out["states"] = np.concatenate(rec_states, axis=0)
@@ -554,9 +543,13 @@ def _run_paths(eng, x0s, horizon, master_seed, threads=None):
             runs = list(pool.map(run_chunk, range(len(starts))))
     else:
         runs = [run_chunk(ci) for ci in range(len(starts))]
-    out = {key: np.concatenate([r[key] for r in runs]) for key in ("X", "exploded_at", "absorbed_at")}
-    out["snaps"] = {s: np.concatenate([r["snaps"][s] for r in runs]) for s in runs[0]["snaps"]}
-    out["integral"] = None if eng.integrand is None else np.concatenate([r["integral"] for r in runs])
+
+    def join(key):
+        # one chunk's array is taken as it is, with no copy
+        return runs[0][key] if len(runs) == 1 else np.concatenate([r[key] for r in runs])
+
+    out = {key: join(key) for key in ("X", "exploded_at", "absorbed_at", "snaps")}
+    out["integral"] = None if eng.integrand is None else join("integral")
     return out
 
 
@@ -639,7 +632,9 @@ def simulate_ensemble(
     res = _run_paths(eng, x0s, horizon, master_seed, threads)
     snapshot_times, snaps, integrals = eng.snapshot_times, None, res["integral"]
     if snapshot_times is not None:
-        snaps = np.stack([res["snaps"][t] for t in snapshot_times.tolist()])
+        if res["snaps"].shape[1] != len(snapshot_times):
+            raise ParameterError(f"snapshot times must lie in (0, {horizon}]")
+        snaps = res["snaps"].transpose(1, 0, 2)
     if integrals is not None and integrals.shape[1] == 1:
         integrals = integrals[:, 0]
     return Ensemble(
@@ -648,8 +643,6 @@ def simulate_ensemble(
         snapshot_times=snapshot_times,
         snapshots=snaps,
         integrals=integrals,
-        n_paths=n_paths,
-        master_seed=master_seed,
     )
 
 

@@ -5,7 +5,8 @@ every path (the base grid plus its own jump times) is known up front.
 ``blocks`` cuts a run into ``Block``s of B base steps and lays each out as
 passes: pass j moves every path over the j-th interval of its own grid, and
 each (pass, path) pair is one cell of the block's noise.
-``integrator._Engine.run`` steps a block pass by pass.
+``integrator._Engine.run`` steps a block pass by pass, and ``Block.reads``
+says after which pass each path stands on a given base point of the block.
 """
 
 from __future__ import annotations
@@ -20,24 +21,19 @@ BLOCK_CELLS = 2**14
 WHOLE = 1.0 - 1e-9
 
 
-def blocks(grid, W, cuts, jumps=None, alive=None):
+def blocks(grid, W, jumps=None, alive=None):
     """The blocks of a run of W paths over the base grid ``grid``, in order.
 
-    A block covers at most ``BLOCK_CELLS`` (base step, path) cells and one
-    ends at every grid index of ``cuts`` (the snapshot points) and at the
-    grid's end, so every path stands on a block's last base point; a grid of
-    one point has no block.  ``jumps`` is the run's W-path JumpTrain, or None.
-    A block leaves out the jumps of the paths that ``alive`` marks dead when
-    it is laid out, so the blocks are made lazily, one at a time.
+    A block covers ``BLOCK_CELLS`` // W base steps, the last one the rest; a
+    grid of one point has none.  ``jumps`` is the run's W-path JumpTrain, or
+    None.  A block leaves out the jumps of the paths that ``alive`` marks
+    dead when it is laid out, so the blocks are made lazily, one at a time.
     """
     n_steps = len(grid) - 1
-    per_block = max(1, BLOCK_CELLS // W)
-    ends = sorted({*range(per_block, n_steps, per_block), *cuts, n_steps} - {0})
-    if not ends:
-        return
+    firsts = list(range(0, n_steps, max(1, BLOCK_CELLS // W)))
+    ends = firsts[1:] + [n_steps]
     steps = np.diff(grid)
     # each block's longest base step, and whether any of its steps is shorter
-    firsts = [0, *ends[:-1]]
     units = np.maximum.reduceat(steps, firsts)
     shorts = (np.minimum.reduceat(steps, firsts) < units * WHOLE).tolist()
     units = units.tolist()
@@ -49,9 +45,8 @@ def blocks(grid, W, cuts, jumps=None, alive=None):
         # a stable sort keeps the jumps path by path, in time order within a path
         by_block = np.argsort(in_block, kind="stable")
         first = np.searchsorted(in_block[by_block], np.arange(len(ends) + 1))
-    k0 = 0
-    for b, k1 in enumerate(ends):
-        base = (grid[k0 : k1 + 1], steps[k0:k1], W, k1, units[b], shorts[b])
+    for b, (k0, k1) in enumerate(zip(firsts, ends)):
+        base = (grid[k0 : k1 + 1], steps[k0:k1], W, units[b], shorts[b])
         ids = () if by_block is None else by_block[first[b] : first[b + 1]]
         if len(ids) and alive is not None:
             ids = ids[alive[path[ids]]]
@@ -59,18 +54,17 @@ def blocks(grid, W, cuts, jumps=None, alive=None):
             yield Block(*base, ids, path[ids], step[ids] - k0, jumps.times[ids])
         else:
             yield Block(*base)
-        k0 = k1
 
 
 class Block:
     """One block of base steps, laid out as passes over (base step, path) cells.
 
     ``gb`` holds the block's nb + 1 base points, ``hb`` their gaps, W is the
-    path count, ``k1`` the grid index of the block's last point, ``unit`` the
-    longest base step and ``short`` whether a base step is shorter.  Path i's
-    jump-adapted grid is the base points plus its large jumps in the block:
-    ``ids`` (their places in the run's train), ``path``, ``step`` (the base
-    step of each within the block) and ``times``, path by path and in time
+    path count, ``unit`` the longest base step and ``short`` whether a base
+    step is shorter.  Path i's jump-adapted grid is the base points plus its
+    large jumps in the block: ``ids`` (their places in the run's train),
+    ``path``, ``step`` (the base step of each within the block, kept, with
+    each jump's column as ``col``) and ``times``, path by path and in time
     order within a path.  Pass j moves every path over the j-th interval of
     its own grid: passes 0..nb-1 go over all W paths, and catch-up pass
     nb + r over the paths with more than r jumps.  Cell j W + i is pass j of
@@ -84,8 +78,8 @@ class Block:
     ``lengths`` holds every cell's length, None when no cell is short.
     """
 
-    def __init__(self, gb, hb, W, k1, unit, short, ids=(), path=(), step=(), times=()):
-        self.gb, self.hb, self.W, self.k1, self.unit = gb, hb, W, k1, unit
+    def __init__(self, gb, hb, W, unit, short, ids=(), path=(), step=(), times=()):
+        self.gb, self.hb, self.W, self.unit = gb, hb, W, unit
         self.nb = nb = len(hb)
         n = len(path)
         self.n_cells = nb * W + n
@@ -98,7 +92,8 @@ class Block:
         self.cols = path[first]
         m = np.diff(first, append=n)
         most = int(m.max())
-        col = np.repeat(np.arange(len(first)), m)
+        col = self.col = np.repeat(np.arange(len(first)), m)
+        self.step = step
         q = np.arange(n) - first[col]
         # the q-th jump of a path in base step s ends its interval s + q; a
         # jump on a base point sorts next to it, which leaves the stops alike
@@ -124,6 +119,21 @@ class Block:
         self.H[:, self.cols] = gaps[:, :nb].T
         for r, c in enumerate(self.catch):
             self.lengths[self.offsets[r] : self.offsets[r + 1]] = gaps[c, nb + r]
+
+    def reads(self, points):
+        """{pass j: [(i, rows)]}: after pass j and its splice, ``rows`` (a slice for
+        all W) stand on gb[k], k = ``points[i]``, for the ascending points in 1..nb.
+        Every row does after pass k - 1, and one with n jumps in the steps before k
+        (a jump on k is in the step it ends) after pass k - 1 + n, rewriting it."""
+        out = {}
+        for i in range(*np.searchsorted(points, (1, self.nb + 1))):
+            k = int(points[i])
+            out.setdefault(k - 1, []).append((i, slice(None)))
+            if self.cols is not None:
+                n = np.bincount(self.col[self.step < k], minlength=len(self.cols))
+                for v in np.unique(n[n > 0]).tolist():
+                    out.setdefault(k - 1 + v, []).append((i, self.cols[n == v]))
+        return out
 
     def short(self, cell):
         """The positions in ``cell`` (cell indices) of the short cells."""

@@ -110,12 +110,8 @@ class SdeProblem:
         """Full drift (sum of the declared split when no whole drift given)."""
         if self.drift is not None:
             return np.asarray(self.drift(t, x), dtype=float)
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        if self.b1 is not None:
-            out = out + self.b1(t, x)
-        if self.b2 is not None:
-            out = out + self.b2(t, x)
-        return out
+        parts = [f(t, x) for f in (self.b1, self.b2) if f is not None]
+        return parts[0] + parts[1] if len(parts) == 2 else np.zeros_like(np.asarray(x, dtype=float)) + sum(parts)
 
     def sigma_eval(self, t, x):
         if self.sigma is None:
@@ -440,8 +436,9 @@ def problem_1d(sigma=None, drift=None, b1=None, b2=None, g=None, levy=None, sigm
 
 
 def _singular_ou_b1(x):
-    xf = floor_away_from_zero(x)
-    return np.sign(x) * np.abs(xf) ** (-0.5) * (np.abs(x) <= 1.0)
+    # sign(x) |floor_away_from_zero(x)|^(-1/2) 1_{|x|<=1}, the floor as a maximum
+    a = np.abs(x)
+    return np.sign(x) * np.maximum(a, SINGULAR_FLOOR) ** (-0.5) * (a <= 1.0)
 
 
 def preset(name):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from levylab import jump_grid
 from levylab.errors import ParameterError
 from levylab.jump_grid import Block
 from levylab.levy_noise import JumpTrain, LevyModel, sample_large_jumps, tail_mass
@@ -422,7 +423,7 @@ def test_lean_substep_matches_the_masked_call(case):
 
     def noise(rng):
         # one base step's cells, drawn by the run loop before its passes
-        block = Block(np.array([0.3, 0.3 + dt]), np.array([dt]), W, 1, dt, False)
+        block = Block(np.array([0.3, 0.3 + dt]), np.array([dt]), W, dt, False)
         return eng.noise_of(eng.draw(block, rng, _Work()), 0, W)
 
     lean = eng.substep(X, 0.3, dt, None, noise(lean_rng))
@@ -543,9 +544,7 @@ def test_snapshot_times_map_to_their_nearest_grid_points():
         (np.cumsum(np.full(2000, 0.1)), True),
         (np.concatenate([[1e-13], rng.uniform(0.0, 200.0, 3000)]), False),
     ):
-        grid, snap_at = _Engine(OU, StepConfig(dt=dt), snapshot_times=times)._grid(0.0, 200.0)
-        at = np.array(list(snap_at))
-        np.testing.assert_array_equal(list(snap_at.values()), np.sort(times))
+        grid, at = _Engine(OU, StepConfig(dt=dt), snapshot_times=times)._grid(0.0, 200.0)
         np.testing.assert_array_equal(at, [np.argmin(np.abs(grid - s)) for s in np.sort(times)])
         if rounded:
             assert len(grid) == 20_001
@@ -560,6 +559,72 @@ def test_snapshot_within_rounding_of_the_start_takes_the_start():
     ens = simulate_ensemble(OU, 0.7, 1.0, StepConfig(dt=0.1), 4, 2, snapshot_times=[1e-12, 0.5])
     np.testing.assert_array_equal(ens.snapshots[0], 0.7)
     assert np.all(ens.snapshots[1] != 0.7)
+
+
+def test_snapshot_times_beyond_the_horizon_are_refused():
+    # one row per snapshot time, so a time no grid point takes is an error;
+    # two equal times take the same point and give equal rows
+    with pytest.raises(ParameterError):
+        simulate_ensemble(OU, 0.7, 1.0, StepConfig(dt=0.1), 4, 2, snapshot_times=[0.5, 1.5])
+    ens = simulate_ensemble(OU, 0.7, 1.0, StepConfig(dt=0.1), 4, 2, snapshot_times=[0.5, 0.5])
+    np.testing.assert_array_equal(ens.snapshots[0], ens.snapshots[1])
+
+
+@pytest.mark.parametrize("speed, per_block", [(0.0, None), (1.0, None), (1.0, 5)])
+def test_snapshots_inside_a_block_follow_the_lag_rule(monkeypatch, speed, per_block):
+    # g = z, no band, no sigma and a drift of `speed`, with dyadic times and
+    # marks: the snapshot at t_k is x0 + speed t_k + the marks with tau <= t_k,
+    # exactly, only if each row is read after the pass that ends on t_k
+    if per_block:
+        monkeypatch.setattr(jump_grid, "BLOCK_CELLS", 5 * per_block)
+    dt, T = 0.125, 2.0
+    taus = [
+        [0.25 + 1 / 64, 0.25 + 3 / 64],  # two jumps in one base step
+        [0.5 + 1 / 32, 0.625 + 1 / 32, 0.75 + 1 / 32],  # jumps in consecutive steps
+        [0.375, 0.625, 1.0],  # jumps on snapshot points, 0.625 a block's end
+        [1.875 + 1 / 64, 1.875 + 3 / 64, 1.875 + 5 / 64],  # the last point in catch-up passes
+        [0.5 + 1 / 64, 0.875 + 1 / 64, 1.25 + 1 / 64],  # killed at its second jump
+    ]
+    marks = [[1.0, 2.0, 4.0][: len(t)] for t in taus]
+    marks[4][1] = 2.0**41
+    death = [T, T, T, T, taus[4][1]]
+    train = JumpTrain(
+        np.concatenate(taus), np.concatenate(marks)[:, None], np.concatenate([[0], np.cumsum([len(t) for t in taus])])
+    )
+    p = SdeProblem(dim=1, drift=lambda t, x: speed + 0 * x, jump=lambda t, x, z: z + 0 * x, levy=M15)
+    times = dt * np.arange(1, 17)
+    x0 = 0.5 * np.arange(5)
+    eng = _Engine(p, StepConfig(dt=dt, small_jump_cutoff=1.0), snapshot_times=times)
+    res = eng.run(x0[:, None], 0.0, T, np.random.default_rng(0), train)
+    want = np.empty((5, len(times)))
+    for i in range(5):
+        for k, t in enumerate(times):
+            t = min(t, death[i])
+            want[i, k] = x0[i] + speed * t + sum(m for tau, m in zip(taus[i], marks[i]) if tau <= t)
+    np.testing.assert_array_equal(res["snaps"][:, :, 0], want)
+    assert np.isfinite(res["exploded_at"]).tolist() == [False] * 4 + [True]
+
+
+def test_snapshots_are_the_end_states_of_runs_stopped_there():
+    # 301 paths make blocks of 54 base steps, and the snapshots every 10 steps
+    # fall inside them: each equals, bit for bit, a run's end state at its time
+    W, dt = 301, 0.01
+    times = (dt * np.arange(201))[10::10]
+    x0 = np.linspace(-1.0, 1.0, W)[:, None]
+    snaps = _Engine(OU, StepConfig(dt=dt), snapshot_times=times).run(x0, 0.0, times[-1], np.random.default_rng(5))["snaps"]
+    for i, t in enumerate(times):
+        end = _Engine(OU, StepConfig(dt=dt)).run(x0, 0.0, t, np.random.default_rng(5))["X"]
+        assert snaps[:, i].tobytes() == end.tobytes()
+
+
+def test_snapshots_cut_no_block():
+    # 256 paths step in blocks of 64 base steps whatever their snapshot times
+    eng = _Engine(preset("mixing_jump"), StepConfig(dt=0.01), snapshot_times=0.1 * np.arange(1, 51))
+    sizes, draw = [], eng.draw
+    eng.draw = lambda block, rng, work: sizes.append(block.nb) or draw(block, rng, work)
+    res = eng.run(np.zeros((256, 1)), 0.0, 5.0, np.random.default_rng(0))
+    assert sizes == [64] * 7 + [52]
+    assert np.all(np.isfinite(res["snaps"]))
 
 
 BIG_ONLY_2D = LevyModel(kind="radial_table", dim=2, big_jump_radius=1.0, radii=[1.0, 3.0], densities=[10.0, 10.0])

@@ -6,10 +6,12 @@ import pytest
 from levylab.errors import DivergenceError, ParameterError
 from levylab.levy_noise import LevyModel
 from levylab.sde_model import (
+    SINGULAR_FLOOR,
     audit_dissipativity,
     audit_ellipticity,
     audit_jump_coeff,
     default_audit_grid,
+    floor_away_from_zero,
     gamma_moment,
     preset,
     problem_1d,
@@ -137,3 +139,13 @@ def test_preset_unknown_name_lists_presets():
 def test_problem_rejects_conflicting_drift_declarations():
     with pytest.raises(ParameterError):
         problem_1d(drift=lambda x: -x, b2=lambda x: -x)
+
+
+def test_singular_ou_b1_is_the_floored_formula_bit_for_bit():
+    # the floor as a maximum gives the bytes of sign(x) |floor_away_from_zero(x)|^(-1/2) 1_{|x|<=1}
+    up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    x = np.array([0.0, -0.0, 1e-12, -1e-12, SINGULAR_FLOOR, -SINGULAR_FLOOR, 1.0, -1.0, up, down, -up, -down, np.inf, -np.inf, np.nan])
+    old = np.sign(x) * np.abs(floor_away_from_zero(x)) ** (-0.5) * (np.abs(x) <= 1.0)
+    new = preset("ou_singular").b1(0.0, x)
+    assert new.tobytes() == old.tobytes()
+    assert np.isnan(new[-1]) and np.all(new[-3:-1] == 0.0) and new[0] == 0.0

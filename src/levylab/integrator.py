@@ -168,7 +168,10 @@ class _SmallJumpBand:
         if not self.odd:
             if p.dim != 1:
                 raise ParameterError("a jump coefficient that is not odd in z needs dim=1")
-            self.rule = shell_rule(self.model, self.eps, self.big_r)
+            if p.band_compensator is not None:
+                self.table = p.band_compensator(self.eps)
+            else:
+                self.table, self.rule = None, shell_rule(self.model, self.eps, self.big_r)
         if self.gauss:
             if p.sigma_bar is None:
                 raise ParameterError(
@@ -222,9 +225,13 @@ class _SmallJumpBand:
         return cell, marks
 
     def compensator(self, t, x):
-        """int_{eps<=|z|<R} g(t,x,z) nu(dz), zero for odd g (symmetric nu)."""
+        """int_{eps<=|z|<R} g(t,x,z) nu(dz), zero for odd g (symmetric nu): the
+        problem's own ``band_compensator`` when it has one, else the rule
+        summed over g at every row."""
         if self.odd:
             return None
+        if self.table is not None:
+            return self.table(t, x)
         return self.rule.integrate(self.p.g_pairs(t, x, self.rule.nodes)).reshape(np.shape(x))
 
 
@@ -350,10 +357,15 @@ class _Engine:
         hc = h[:, None] if isinstance(h, np.ndarray) else h
         # singular coefficients carry their own |x| v eps floor (sign(0) = 0
         # semantics); an engine-side floor would kick exact-zero states
-        upd = p.b(tx, x_arg).reshape(W, d) * hc
+        if p.b_and_sigma is None:
+            upd = p.b(tx, x_arg).reshape(W, d) * hc
+            sig = None if p.sigma is None else p.sigma_eval(tx, x_arg)
+        else:
+            b, sig = p.b_and_sigma(tx, x_arg)
+            upd = b.reshape(W, d) * hc
+            del b  # one array less held through the noise terms (peak memory)
 
-        if p.sigma is not None:
-            sig = np.asarray(p.sigma_eval(tx, x_arg), dtype=float)
+        if sig is not None:
             root = np.sqrt(hc)
             if sig.ndim <= 1:
                 upd += sig.reshape(W, 1) * root * z

@@ -23,7 +23,10 @@ the grid both continue on their edge lines, of slopes 1 + u'_edge and
 about two per cell, then at most a fixed number of comparisons) and reads
 Phi^-1(y), u and Phi' from the one located cell: the transformed
 coefficients sigma~ and b~ cost one locate per call, and no binary search
-over the unsorted states of an ensemble.
+over the unsorted states of an ensemble.  The transformed problem reads both
+in one call (``b_and_sigma``, one locate per Euler substep), finds Phi at
+x + g in g~ by one floor on the uniform x-grid, and, for g = sigma_bar z,
+reads its band compensator from a table at Phi's nodes built on first use.
 """
 
 from __future__ import annotations
@@ -426,12 +429,12 @@ class ZvonkinMap:
         u_lo, u_hi = self.u.edge_slopes()
         self._edge_grads = (1.0 + u_lo, 1.0 + u_hi)  # Phi's slopes beyond the grid
 
-        # one row per cell: its anchor node (Phi(x_j), x_j, u_j, u'_j) and the
-        # slopes of x, u and u' beyond it, np.interp's slopes inside the table
-        # and the edge lines outside
+        # one column per cell: its anchor node (Phi(x_j), x_j, u_j, u'_j) and
+        # the slopes of x, u and u' beyond it, np.interp's slopes inside the
+        # table and the edge lines outside
         n, dx = len(xs), np.diff(xs)
         anchor = np.concatenate(([0], np.arange(n)))
-        self._cells = np.column_stack(
+        self._cells = np.array(
             [
                 ys[anchor],
                 xs[anchor],
@@ -459,12 +462,40 @@ class ZvonkinMap:
         t = (y - self._bucket_lo) * self._bucket_scale
         return np.fmin(np.fmax(t, 0.0), self._bucket_top).astype(np.intp)
 
-    def _read(self, y):
-        """The columns of the cell rows of y (y an array of floats)."""
+    def _read(self, y, cells=None):
+        """The rows of the table ``cells`` (one column per cell; default the
+        map's own) at the cells of y (an array of floats), each shaped as y."""
         c = self._bucket_cell.take(self._bucket(y))
         for _ in range(self.k_max - 1):
             c += y >= self._next_node.take(c)
-        return np.moveaxis(self._cells.take(c, axis=0), -1, 0)
+        return (self._cells if cells is None else cells).take(c, axis=1)
+
+    def _phi_cells(self, x):
+        """Phi(x) from x's cell on the uniform grid, found by one floor: cell
+        j + 1 holds [x_j, x_{j+1}), and the outer cells 0 and n, below the
+        grid and at or above its top node, carry the edge lines.  Equals
+        ``phi`` to rounding; NaN and +-inf pass through."""
+        s = (x - self.u.lo) * ((self.u.n - 1) / (self.u.hi - self.u.lo)) + 1.0
+        c = np.fmin(np.fmax(s, 0.0), self.u.n).astype(np.intp)
+        ya, xa, su = (self._cells[k].take(c) for k in (0, 1, 5))
+        return (1.0 + su) * (x - xa) + ya
+
+    def tabulate(self, f):
+        """A reader y -> f(Phi^-1(y)) of the node values f, linear in x on each
+        cell as u is and held at its end values beyond the grid, read with
+        one cell locate as ``_pull_back`` reads u."""
+        f = np.asarray(f, dtype=float)
+        slopes = np.concatenate(([0.0], np.diff(f) / np.diff(self.u.x), [0.0]))
+        cells = np.concatenate([self._cells[[0, 4]], [np.append(f[0], f), slopes]])
+        span = self.u.hi - self.u.lo
+
+        def read(y):
+            y = np.asarray(y, dtype=float)
+            ya, sx, fa, sf = self._read(y, cells)
+            # the clip, far outside every inner cell, keeps 0 * inf out of the outer ones
+            return sf * np.clip(sx * (y - ya), -span, span) + fa
+
+        return read
 
     def phi(self, x):
         """x + u(x) on the grid, continued past it on its own edge lines (slope
@@ -571,16 +602,14 @@ def build_zvonkin(p, lam=None, grid=None, lam_start=10.0, lam_cap=2.0**20):
 def _transformed_problem(p, zmap):
     lam = zmap.lam
 
-    def sigma_t(t, y):
-        x, _, grad = zmap._pull_back(y)
-        return grad * np.asarray(p.sigma_eval(t, x), dtype=float)
-
-    def b_t(t, y):
+    def b_and_sigma(t, y):
+        # one pull-back serves both coefficients
         x, u, grad = zmap._pull_back(y)
         b2 = 0.0 if p.b2 is None else np.asarray(p.b2(t, x), dtype=float)
-        return lam * u + grad * b2
+        sigma = None if p.sigma is None else grad * np.asarray(p.sigma_eval(t, x), dtype=float)
+        return lam * u + grad * b2, sigma
 
-    jump_t = None
+    jump_t = band_compensator = None
     if p.has_jumps:
         lo_grad, hi_grad = zmap._edge_grads
 
@@ -591,15 +620,36 @@ def _transformed_problem(p, zmap):
             # at y = +-inf, where Phi is its edge line, g~ is that line's Phi' g;
             # the zeros keep inf - inf out of the discarded branch
             far = np.isinf(y)
-            lifted = zmap.phi(np.where(far, 0.0, x) + gx) - np.where(far, 0.0, y)
+            if not far.any():
+                return zmap._phi_cells(x + gx) - y
+            lifted = zmap._phi_cells(np.where(far, 0.0, x) + gx) - np.where(far, 0.0, y)
             return np.where(far, np.where(y > 0, hi_grad, lo_grad) * gx, lifted)
+
+    if p.has_jumps and p.sigma_bar is not None:
+        tables = {}
+
+        def band_compensator(eps):
+            # g = sigma_bar z has no band compensator against the symmetric nu,
+            # so g~'s is int [u(x + g) - u(x)] nu(dz), x = Phi^-1(y): on the
+            # first call per eps, one rule at Phi's nodes with u(x + g) read
+            # through the local cubic, as _nonlocal_matrix reads it; then a
+            # table read (DECISIONS.md, "One map read per substep")
+            if eps not in tables:
+                rule = shell_rule(p.levy, eps, p.levy.big_jump_radius)
+                u = zmap.u
+                cols, w = _lagrange((u.lo, u.hi, u.n), u.x[:, None] + p.g_pairs(0.0, u.x, rule.nodes), 4)
+                read = zmap.tabulate(rule.integrate(np.sum(w * u.values[cols], axis=-1) - u.values[:, None]))
+                tables[eps] = lambda t, y: read(y)
+            return tables[eps]
 
     q = SdeProblem(
         dim=1,
-        sigma=None if p.sigma is None else sigma_t,
-        b2=b_t,
+        sigma=None if p.sigma is None else (lambda t, y: b_and_sigma(t, y)[1]),
+        b2=lambda t, y: b_and_sigma(t, y)[0],
         jump=jump_t,
         levy=p.levy,
+        b_and_sigma=b_and_sigma,
+        band_compensator=band_compensator,
         time_homogeneous=True,
         name=(p.name + "_zvonkin") if p.name else "zvonkin_transformed",
     )
@@ -607,7 +657,7 @@ def _transformed_problem(p, zmap):
     # quarter of the original, the rest measured on the build grid)
     if p.kappa1 is not None and p.r is not None:
         ys = np.linspace(zmap.phi(np.array([zmap.u.lo]))[0], zmap.phi(np.array([zmap.u.hi]))[0], 801)
-        bv = b_t(0.0, ys)
+        bv = q.b2(0.0, ys)
         k1 = p.kappa1 / 4.0
         k2 = float(np.max(ys * bv + k1 * np.abs(ys) ** (2.0 + p.r)))
         k3 = float(np.max(np.abs(bv) / (1.0 + np.abs(ys) ** (1.0 + p.r))))

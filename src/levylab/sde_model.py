@@ -62,7 +62,8 @@ class SdeProblem:
     part) + ``b2`` (dissipative part); the split is declared, never inferred.
     ``sigma_bar`` marks the multiplicative form g(t,x,z) = sigma_bar(t,x) * z,
     which unlocks the exact stable stepping mode of the integrator; given
-    without ``jump``, it defines g.
+    without ``jump``, it defines g.  ``b_and_sigma`` and ``band_compensator``,
+    when set, must agree with the coefficients they stand for.
     """
 
     dim: int = 1
@@ -84,6 +85,12 @@ class SdeProblem:
     r: float | None = None
     time_homogeneous: bool = True
     name: str = ""
+    # fast paths a derived problem may supply (the Zvonkin-transformed one);
+    # every other problem leaves them unset.  ``b_and_sigma(t, x)`` returns
+    # (b(t, x), sigma(t, x)) in one call, sigma None without a diffusion;
+    # ``band_compensator(eps)`` returns c(t, x) = int_{eps<=|z|<R} g(t,x,z) nu(dz)
+    b_and_sigma: object = None
+    band_compensator: object = None
 
     def __post_init__(self):
         if self.drift is not None and (self.b1 is not None or self.b2 is not None):
@@ -448,6 +455,8 @@ def preset(name):
       kick b1(x) = sign(x) |x|^(-1/2) 1_{|x|<=1} and dissipative b2(x) = -x.
     - ``mixing_jump``: dX = dW + 0.5 |X_-|^(1/2) dL - X dt with L the
       isotropic 1.5-stable driver truncated at R=1.
+    - ``singular_jump``: the paper's main setting, ``ou_singular``'s drift
+      b1 + b2 with sigma = 1 and ``mixing_jump``'s jumps g = 0.5 |x|^(1/2) z.
     """
     if name == "ou_singular":
         return problem_1d(
@@ -481,7 +490,26 @@ def preset(name):
             r=0.0,
             name="mixing_jump",
         )
+    if name == "singular_jump":
+        sigma_bar = lambda x: 0.5 * np.sqrt(np.abs(np.asarray(x, dtype=float)))
+        return problem_1d(
+            sigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            b1=_singular_ou_b1,
+            b2=lambda x: -np.asarray(x, dtype=float),
+            g=lambda x, z: sigma_bar(x) * z,
+            levy=LevyModel(kind="isotropic_stable", alpha=1.5, dim=1, big_jump_radius=1.0),
+            sigma_bar=sigma_bar,
+            c0=1.0,
+            beta_sigma=0.5,
+            c1=2.0,
+            beta_g=0.5,
+            kappa1=1.0,
+            kappa2=1.0,
+            kappa3=1.0,
+            r=0.0,
+            name="singular_jump",
+        )
     raise ParameterError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
 
 
-PRESET_NAMES = ("ou_singular", "mixing_jump")
+PRESET_NAMES = ("ou_singular", "mixing_jump", "singular_jump")

@@ -128,6 +128,9 @@ class TestRun:
         first = Path(os.path.join(cfg["output_dir"], "results.json")).read_bytes()
         assert main(["run", path, "--threads", "4"]) == 0
         second = Path(os.path.join(cfg["output_dir"], "results.json")).read_bytes()
+        # the digest of the terminal states in path order makes the bytes see
+        # chunks joined out of order, which W1 (sorted samples) cannot
+        assert len(json.loads(first)["terminal_sha256"]) == 64
         assert first == second
 
     def test_manifest_config_round_trip(self, tmp_path):
@@ -209,6 +212,35 @@ class TestRun:
         assert os.path.exists(tmp_path / "s" / "path_0.csv")
         header = (tmp_path / "s" / "path_0.csv").read_text().splitlines()[0].strip()
         assert header == "path_id,t,x_1,is_jump"
+
+
+class TestHeatkernel:
+    def config(self, tmp_path, **numerics):
+        cfg = {
+            "experiment": "heatkernel",
+            "problem": {"g": "z"},
+            "levy": {"alpha": 1.5, "dim": 1, "R": 1.0},
+            "numerics": {"t_values": [0.1, 0.4, 1.0], "x_max": 5.0, **numerics},
+            "seed": 3,
+            "output_dir": str(tmp_path / "hk"),
+        }
+        path = tmp_path / "hk.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def test_alpha_one_and_a_half_passes_by_default(self, tmp_path):
+        # every correct alpha = 1.5 kernel has c2/c1 = 4.717 on this window
+        # (DECISIONS.md, acceptance 6a); the default cap is that ratio plus 5%
+        assert main(["run", self.config(tmp_path, n_paths=20000, dt=0.01)]) == 0
+        results = json.loads((tmp_path / "hk" / "results.json").read_text())
+        assert results["ratio"] == pytest.approx(4.71676, rel=1e-5)
+        assert results["ratio_tol"] == pytest.approx(1.05 * 4.71676, rel=1e-5)
+        assert results["mc_membership"]["violations"] == 0
+
+    def test_explicit_cap_below_the_exact_ratio_fails(self, tmp_path):
+        assert main(["run", self.config(tmp_path, ratio_tol=4.5)]) == 2
+        results = json.loads((tmp_path / "hk" / "results.json").read_text())
+        assert results["ratio_tol"] == 4.5 and results["envelope"]["violations"] == 1
 
 
 def test_apply_checks_paths():

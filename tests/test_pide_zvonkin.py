@@ -1,11 +1,15 @@
 """Solver tests: manufactured solutions, resolvent scaling, the drift-removing map."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from levylab import pide_zvonkin
 from levylab.errors import ContractionError, ExtrapolationError, ParameterError
-from levylab.levy_noise import LevyModel, tail_mass
+from levylab.integrator import StepConfig, simulate_ensemble
+from levylab.levy_noise import LevyModel, shell_rule, tail_mass
 from levylab.pide_zvonkin import (
     GridFunction,
     apply_nonlocal,
@@ -27,15 +31,7 @@ SMALL_JUMPS = problem_1d(  # a = 1 plus g = 0.3 z
 )
 GAUSS_BUMP = lambda t, xs: -np.exp(-(xs**2))
 # the paper's main setting: singular drift plus multiplicative 1.5-stable jumps
-_MAIN_SIGMA_BAR = lambda t, x: 0.5 * np.sqrt(np.abs(x))
-MAIN = SdeProblem(
-    sigma=lambda t, x: np.ones_like(x),
-    b1=preset("ou_singular").b1,
-    b2=lambda t, x: -x,
-    jump=lambda t, x, z: _MAIN_SIGMA_BAR(t, x) * z,
-    sigma_bar=_MAIN_SIGMA_BAR,
-    levy=M15,
-)
+MAIN = preset("singular_jump")
 
 
 class TestGridFunction:
@@ -80,7 +76,7 @@ class TestNonlocal:
         for grid, x in _exactness_cases():
             u = GridFunction.from_callable(np.square, *grid)
             assert abs(apply_nonlocal(u, JUMP_ID, x) - m2) < 1e-9, (grid, x)
-            assert abs(apply_nonlocal(u, MAIN, x) - _MAIN_SIGMA_BAR(0.0, x) ** 2 * m2) < 1e-9, (grid, x)
+            assert abs(apply_nonlocal(u, MAIN, x) - MAIN.sigma_bar(0.0, x) ** 2 * m2) < 1e-9, (grid, x)
 
     def test_constant_and_linear_vanish(self):
         for grid, x in _exactness_cases():
@@ -441,3 +437,108 @@ def test_jump_coefficient_of_exploded_states(zmaps):
     y = np.array([np.inf, np.inf, -np.inf, -np.inf])
     z = np.array([0.5, -0.5, 0.5, -0.5])
     np.testing.assert_array_equal(q.g(0.0, y, z), [np.inf, -np.inf, np.inf, -np.inf])
+
+
+# ---------------------------------------------------------------------------
+# the transformed step: one map read per substep, Phi at x + g by one floor,
+# and the band compensator of the main setting read from a table
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["ou_singular", "main"])
+def test_fused_read_equals_the_separate_coefficients(zmaps, name):
+    zmap, q = zmaps[name]
+    p = preset("ou_singular") if name == "ou_singular" else MAIN
+    # 1e5 points, every node with its nextafter neighbours, points beyond the grid
+    y = np.concatenate([_probe_points(zmap, 100_000, seed=4), [np.nan, np.inf, -np.inf]])
+    b, sigma = q.b_and_sigma(0.0, y)
+    # each coefficient read on its own, from its own pull-back
+    x, u, grad = zmap._pull_back(y)
+    np.testing.assert_array_equal(b, zmap.lam * u + grad * p.b2(0.0, x))
+    np.testing.assert_array_equal(sigma, grad * p.sigma_eval(0.0, x))
+    np.testing.assert_array_equal(b, q.b2(0.0, y))
+    np.testing.assert_array_equal(sigma, q.sigma(0.0, y))
+
+
+@pytest.mark.parametrize("name", ["ou_singular", "main"])
+def test_engine_steps_the_fused_read_as_the_separate_calls(zmaps, name):
+    zmap, q = zmaps[name]
+    y0 = float(zmap.phi(np.array([0.4]))[0])
+    cfg = StepConfig(dt=0.02)
+    fused = simulate_ensemble(q, y0, 0.5, cfg, 500, 7)
+    separate = simulate_ensemble(replace(q, b_and_sigma=None), y0, 0.5, cfg, 500, 7)
+    np.testing.assert_array_equal(fused.terminal, separate.terminal)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["ou_singular", "main", "hand_built"])
+def test_phi_by_one_floor_equals_phi(zmaps, name):
+    zmap, _ = zmaps[name]
+    xs = zmap.u.x
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(xs[0] - 4.0, xs[-1] + 4.0, 100_000), xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)])
+    np.testing.assert_allclose(zmap._phi_cells(x), zmap.phi(x), rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(zmap._phi_cells(np.array([np.nan, np.inf, -np.inf])), [np.nan, np.inf, -np.inf])
+
+
+def test_band_compensator_table_against_the_per_path_rule():
+    # the rule integrates g~ of the piecewise-linear Phi point by point, which
+    # swings on the scale of a cell where u'' is large (next to the |x|^(1/2)
+    # cusp of u' at 0); the table reads u through the local cubic at the nodes.
+    # Measured max errors (DECISIONS.md), 201 -> 801 nodes: overall 0.107 ->
+    # 0.079, at |x| > 0.25 0.022 -> 0.0027, at |x| > 1.5 5.6e-4 -> 2.0e-5
+    eps = 1.0 / 32.0
+    rule = shell_rule(MAIN.levy, eps, 1.0)
+    errs = {}
+    for n in (201, 801):
+        zmap, q = build_zvonkin(MAIN, lam=160.0, grid=(-10.0, 10.0, n))
+        ys = zmap.u.x + zmap.u.values
+        y = np.random.default_rng(6).uniform(ys[0] - 4.0, ys[-1] + 4.0, 100_000)
+        ref = np.concatenate([rule.integrate(q.g_pairs(0.0, c, rule.nodes)) for c in np.array_split(y, 20)])
+        err = np.abs(q.band_compensator(eps)(0.0, y) - ref)
+        x = zmap.phi_inverse(y)
+        errs[n] = [err.max()] + [err[np.abs(x) > r].max() for r in (0.25, 1.5, 10.0)]
+    (coarse, mid_c, far_c, out_c), (fine, mid_f, far_f, out_f) = errs[201], errs[801]
+    assert max(coarse, fine) <= 0.12
+    assert mid_f <= mid_c / 4.0  # order >= 1 away from the cusp (measured 1.5)
+    assert far_f <= far_c / 16.0  # order >= 2 beyond b1's support (measured 2.4)
+    # beyond the grid both read ~0: u is a line there, and sigma_bar z integrates to 0
+    assert max(out_c, out_f) <= 1e-12
+
+
+def test_compensator_table_is_built_by_the_first_engine_not_at_build(monkeypatch):
+    built = []
+    tabulate = pide_zvonkin.ZvonkinMap.tabulate
+
+    def counted(self, f):
+        built.append(len(f))
+        return tabulate(self, f)
+
+    monkeypatch.setattr(pide_zvonkin.ZvonkinMap, "tabulate", counted)
+    zmap, q = build_zvonkin(MAIN, lam=160.0, grid=(-10, 10, 101))
+    assert built == []
+    y0 = float(zmap.phi(np.array([0.5]))[0])
+    for _ in range(2):
+        simulate_ensemble(q, y0, 0.02, StepConfig(dt=0.01), 8, 1)
+    assert built == [101]  # once per eps
+    simulate_ensemble(q, y0, 0.02, StepConfig(dt=0.01, small_jump_cutoff=0.125), 8, 1)
+    assert built == [101, 101]
+
+
+def test_main_setting_direct_equals_mapped_transformed():
+    # the main setting stepped directly and through Phi, compared on bounded
+    # statistics (W1 at this size is noise); E tanh X_T and E tanh^2 X_T each
+    # within a family-wise 1e-3 normal bound plus the two schemes' measured
+    # gap at dt = 0.01 (30 seed pairs: +0.0040 +- 0.0016 and +0.0058 +- 0.0006)
+    n_paths, x0, allowance = 8192, 0.5, 0.01
+    cfg = StepConfig(dt=0.01)
+    zmap, q = build_zvonkin(MAIN, lam=160.0, grid=(-10.0, 10.0, 401))
+    direct = simulate_ensemble(MAIN, x0, 1.0, cfg, n_paths, 101).terminal[:, 0]
+    y0 = float(zmap.phi(np.array([x0]))[0])
+    mapped = zmap.phi_inverse(simulate_ensemble(q, y0, 1.0, cfg, n_paths, 102).terminal[:, 0])
+    z_crit = norm.isf(1e-3 / 4)  # two statistics, two-sided
+    for f in (np.tanh, lambda x: np.tanh(x) ** 2):
+        a, b = f(direct), f(mapped)
+        se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(n_paths)
+        gap = abs(a.mean() - b.mean())
+        assert gap <= z_crit * se + allowance, (a.mean(), b.mean(), se)

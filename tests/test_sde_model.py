@@ -149,3 +149,14 @@ def test_singular_ou_b1_is_the_floored_formula_bit_for_bit():
     new = preset("ou_singular").b1(0.0, x)
     assert new.tobytes() == old.tobytes()
     assert np.isnan(new[-1]) and np.all(new[-3:-1] == 0.0) and new[0] == 0.0
+
+
+def test_main_setting_preset_is_ou_singular_drift_with_mixing_jump_jumps():
+    main, ou, mj = preset("singular_jump"), preset("ou_singular"), preset("mixing_jump")
+    x = np.linspace(-3.0, 3.0, 61)
+    z = np.linspace(-0.9, 0.9, 61)
+    np.testing.assert_array_equal(main.b(0.0, x), ou.b(0.0, x))
+    np.testing.assert_array_equal(main.sigma_eval(0.0, x), np.ones_like(x))
+    np.testing.assert_allclose(main.g(0.0, x, z), mj.g(0.0, x, z), rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(main.g(0.0, x, z), main.sigma_bar(0.0, x) * z)
+    assert main.levy == mj.levy and main.has_split

@@ -2,7 +2,8 @@
 
 Total-variation distances between simulated laws are only available through
 a binned proxy: matched-binning L1/2 with a Freedman-Diaconis width on the
-pooled sample.  The proxy's noise floor is reported and times below it are
+pooled sample.  The proxy's noise floor, its 99% quantile when both samples
+share one law (``tv_noise_floor``), is reported and times below it are
 excluded from rate fits (the log of noise carries no signal).
 """
 
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from levylab.errors import (
     DivergenceError,
@@ -31,6 +33,7 @@ __all__ = [
     "tv_decay_rate",
     "strong_feller_modulus",
     "binned_tv",
+    "tv_noise_floor",
     "freedman_diaconis_width",
     "wasserstein1",
 ]
@@ -44,13 +47,13 @@ def freedman_diaconis_width(samples):
     return 2.0 * iqr * len(samples) ** (-1.0 / 3.0)
 
 
-def binned_tv(a, b, width=None):
-    """Matched-binning L1/2 proxy for TV(law(a), law(b)).
+# the 99% point of N(0, 1), the level of the TV proxy's noise floor
+NULL_Z = 2.3263478740408408
 
-    Bin width defaults to Freedman-Diaconis on the pooled sample; returns
-    (tv, width).  The proxy is biased low by binning and inflated by counting
-    noise of order sqrt(n_bins / n).
-    """
+
+def _matched_counts(a, b, width=None):
+    """The bin counts of a and b on one grid of the given width (by default
+    Freedman-Diaconis on the pooled sample), and the width."""
     pooled = np.concatenate([a, b])
     if width is None:
         width = freedman_diaconis_width(pooled)
@@ -58,8 +61,53 @@ def binned_tv(a, b, width=None):
     edges = np.arange(lo, hi + width, width)
     pa, _ = np.histogram(a, bins=edges)
     pb, _ = np.histogram(b, bins=edges)
-    tv = 0.5 * np.sum(np.abs(pa / len(a) - pb / len(b)))
-    return float(tv), float(width)
+    return pa, pb, float(width)
+
+
+def _tv_of_counts(pa, pb):
+    return float(0.5 * np.sum(np.abs(pa / pa.sum() - pb / pb.sum())))
+
+
+def binned_tv(a, b, width=None):
+    """Matched-binning L1/2 proxy for TV(law(a), law(b)).
+
+    Bin width defaults to Freedman-Diaconis on the pooled sample; returns
+    (tv, width).  The proxy is biased low by binning and inflated by counting
+    noise of order sqrt(n_bins / n) (``tv_noise_floor``).
+    """
+    pa, pb, width = _matched_counts(a, b, width)
+    return _tv_of_counts(pa, pb), width
+
+
+def tv_noise_floor(pa, pb):
+    """The 99% quantile of the binned TV proxy of the bin counts pa, pb when
+    both samples share one law.
+
+    Given each bin's pooled count c, the first sample's share X of it is, under
+    that null, hypergeometric, here widened to Binomial(c, p) with
+    p = n_a / (n_a + n_b).  The proxy is then K sum |X - c p| over independent
+    bins, K = (n_a + n_b) / (2 n_a n_b).  Each term has de Moivre's mean
+    absolute deviation m = 2 (k + 1) C(c, k + 1) p^(k + 1) (1 - p)^(c - k),
+    k = floor(c p), and variance c p (1 - p) - m^2; the quantile is the normal
+    one of the sum, mean + NULL_Z sd.
+    """
+    na, nb = int(pa.sum()), int(pb.sum())
+    c = (pa + pb)[(pa + pb) > 0].astype(float)
+    p = na / (na + nb)
+    k = np.floor(c * p)
+    log_m = (
+        math.log(2.0)
+        + np.log(k + 1.0)
+        + special.gammaln(c + 1.0)
+        - special.gammaln(k + 2.0)
+        - special.gammaln(c - k)
+        + (k + 1.0) * math.log(p)
+        + (c - k) * math.log1p(-p)
+    )
+    m = np.exp(log_m)
+    var = np.maximum(c * p * (1.0 - p) - m * m, 0.0)
+    scale = 0.5 * (na + nb) / (na * nb)
+    return float(scale * (m.sum() + NULL_Z * math.sqrt(var.sum())))
 
 
 def wasserstein1(a, b):
@@ -293,21 +341,22 @@ def tv_decay_rate(p, x0, y0, time_grid, n_paths, seed, cfg):
     """Fit the exponential decay rate of TV(law X_t(x0), law X_t(y0)).
 
     Per time the TV proxy is matched-binning L1/2 (Freedman-Diaconis width on
-    the pooled sample); times with proxy below the binomial noise floor
-    3/sqrt(n_paths) are excluded from the least-squares fit of log TV vs t.
+    the pooled sample); times with proxy below its noise floor, the 99% null
+    quantile of ``tv_noise_floor``, are excluded from the least-squares fit of
+    log TV vs t.  Raises SignalTooWeakError when the first time, or all but
+    one time, falls below its floor.
     """
     time_grid = np.sort(np.asarray(time_grid, dtype=float))
     if len(time_grid) < 4:
         raise ParameterError("tv_decay_rate needs at least 4 time points")
     v_class = "uniform" if (p.r or 0.0) > 0 else "V_linear"
-    floor = 3.0 / math.sqrt(n_paths)
 
     if x0 == y0:
         return ErgodicityReport(
             gamma=np.inf,
             r_squared=1.0,
             V_class=v_class,
-            margins={"tv": [0.0] * len(time_grid), "noise_floor": floor, "times": time_grid.tolist()},
+            margins={"tv": [0.0] * len(time_grid), "noise_floor": None, "times": time_grid.tolist()},
         )
 
     # streams keyed by value order so relabeling x0 <-> y0 is an exact no-op
@@ -316,19 +365,24 @@ def tv_decay_rate(p, x0, y0, time_grid, n_paths, seed, cfg):
     ax = _ensemble_snapshots(p, lo0, time_grid, n_paths, int(s_lo), cfg)
     ay = _ensemble_snapshots(p, hi0, time_grid, n_paths, int(s_hi), cfg)
 
-    tvs, widths = [], []
+    tvs, floors, widths = [], [], []
     for k in range(len(time_grid)):
-        tv, w = binned_tv(ax[k], ay[k])
-        tvs.append(tv)
+        pa, pb, w = _matched_counts(ax[k], ay[k])
+        tvs.append(_tv_of_counts(pa, pb))
+        floors.append(tv_noise_floor(pa, pb))
         widths.append(w)
-    tvs = np.array(tvs)
+    tvs, floors = np.array(tvs), np.array(floors)
 
-    if tvs[0] < floor:
+    if tvs[0] < floors[0]:
         raise SignalTooWeakError(
-            f"TV proxy {tvs[0]:.4f} below the noise floor {floor:.4f} at t={time_grid[0]}; "
+            f"TV proxy {tvs[0]:.4f} below the noise floor {floors[0]:.4f} at t={time_grid[0]}; "
             "move x0, y0 apart or use earlier times"
         )
-    used = tvs >= floor
+    used = tvs >= floors
+    if np.count_nonzero(used) < 2:
+        raise SignalTooWeakError(
+            f"only t={time_grid[0]} has a TV proxy above its noise floor; a rate needs two times"
+        )
     t_used, y_used = time_grid[used], np.log(tvs[used])
     slope, intercept = np.polyfit(t_used, y_used, 1)
     fitted = slope * t_used + intercept
@@ -343,7 +397,7 @@ def tv_decay_rate(p, x0, y0, time_grid, n_paths, seed, cfg):
             "tv": tvs.tolist(),
             "times": time_grid.tolist(),
             "used": used.tolist(),
-            "noise_floor": floor,
+            "noise_floor": floors.tolist(),
             "bin_widths": widths,
         },
     )

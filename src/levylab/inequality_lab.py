@@ -220,6 +220,16 @@ def _advance_linear(xi, drift, slope, dt):
     return out
 
 
+def _jump_times(counts, horizon, rng):
+    """Row i: path i's counts[i] jump times, uniform on [0, horizon) and in
+    order, then +inf, over max(counts) columns.  The slots past a row's count
+    go to +inf before one row-wise sort, which orders every row at once."""
+    times = rng.uniform(0.0, horizon, (len(counts), int(counts.max(initial=0))))
+    times[np.arange(times.shape[1]) >= counts[:, None]] = np.inf
+    times.sort(axis=1)
+    return times
+
+
 def simulate_gronwall_paths(scenario, horizon, n_paths, rng):
     """(xi_T, sup_t xi) by exact piecewise integration between Poisson jumps."""
     sc = scenario
@@ -238,14 +248,8 @@ def simulate_gronwall_paths(scenario, horizon, n_paths, rng):
     xi = np.full(n, sc.xi0)
     xistar = xi.copy()
     counts = rng.poisson(rate * horizon, n) if rate > 0 else np.zeros(n, dtype=int)
-    kmax = int(counts.max()) if n else 0
-    times = np.full((n, kmax), np.inf)
-    if kmax:
-        u = rng.uniform(0.0, horizon, (n, kmax))
-        for i in range(n):
-            c = counts[i]
-            if c:
-                times[i, :c] = np.sort(u[i, :c])
+    times = _jump_times(counts, horizon, rng)
+    kmax = times.shape[1]
     t_prev = np.zeros(n)
     for k in range(kmax):
         doing = counts > k

@@ -33,8 +33,10 @@ the marks.  A jump in a cell shorter than the block's longest base step stays
 with probability length / step (thinning).  A pass adds sigma_bar(t, x) times
 its cells' mark sums when the problem has g = sigma_bar z (checked on probe
 points), else g at the owners' states summed per row with ``np.bincount``.
-One normal draw of B W rows is the stream of B draws of W rows, so a run
-whose only noise is Brownian draws as a step-by-step loop would.
+The normals come in Box-Muller pairs of adjacent uniforms
+(``levy_noise.standard_normals``), so when W d is even one normal draw of
+B W rows is the stream of B draws of W rows, and a run whose only noise is
+Brownian draws as a step-by-step loop would.
 
 Determinism: every simulation is keyed by a seed (int or SeedSequence) from
 which a (flow, jumps) stream pair is derived.  Every ensemble runs through
@@ -60,7 +62,15 @@ import numpy as np
 
 from levylab.errors import ParameterError, TruncationError
 from levylab.jump_grid import blocks
-from levylab.levy_noise import ShellSampler, levy_constant, sample_large_jumps, shell_rule, tail_mass, _stable_increments
+from levylab.levy_noise import (
+    ShellSampler,
+    levy_constant,
+    sample_large_jumps,
+    shell_rule,
+    standard_normals,
+    tail_mass,
+    _stable_increments,
+)
 
 __all__ = [
     "StepConfig",
@@ -314,7 +324,7 @@ class _Engine:
         p, d, n_cells = self.p, self.p.dim, block.n_cells
 
         def normals(name):
-            return rng.standard_normal(out=work(name, n_cells * d).reshape(n_cells, d))
+            return standard_normals(rng, work(name, n_cells * d).reshape(n_cells, d), work)
 
         z = normals("z") if p.sigma is not None else None
         dl = _stable_increments(p.levy.alpha, d, 1.0, n_cells, rng, work) if self.exact else None

@@ -13,13 +13,17 @@ time t has the law of a symbol-normalized increment at time levy_constant*t.
 
 Integrals against nu go through one rule, ``shell_rule``: log-spaced
 Gauss-Legendre panels, with power-law remainders closing the stable measure's
-open ends (DECISIONS.md).
+open ends (DECISIONS.md).  The panels cannot follow cos(xi z) once |xi z| >> 1,
+so ``char_exponent`` closes that open end with the stable kind's closed form.
 
 Exact stable increments come from the Chambers-Mallows-Stuck transform in
 d = 1 and from Kanter's positive stable time in d >= 2, written with tan, log
 and exp alone (numpy vectorises those; its float64 sin and cos are scalar
 code) and computed in place in float buffers that the caller may lend, as the
 path engine does for each run (DECISIONS.md, "A trig-free stable sampler").
+Every normal draw goes through ``standard_normals``, a Box-Muller transform
+written with tan, log and sqrt on the same terms (DECISIONS.md, "One trig-free
+normal sampler").
 """
 
 from __future__ import annotations
@@ -40,10 +44,12 @@ __all__ = [
     "JumpTrain",
     "ShellSampler",
     "levy_constant",
+    "standard_normals",
     "sample_isotropic_stable",
     "stable_increment_batch",
     "sample_large_jumps",
     "tail_mass",
+    "char_exponent",
     "sphere_area",
     "ShellRule",
     "shell_rule",
@@ -159,6 +165,45 @@ QUARTER_PI_LO = 3.061616997868383e-17
 def _fresh(name, n):
     """A new float buffer of n: the ``work`` of a draw that owns no buffers."""
     return np.empty(n)
+
+
+def standard_normals(rng, out, scratch=_fresh):
+    """Fill ``out`` (C-contiguous float64, any shape) with standard normals.
+
+    Box-Muller with the angle's half tangent in place of its sine and cosine:
+    pair k takes uniform 2k as the radius, rho = sqrt(-2 log(1 - u)), and
+    uniform 2k + 1 as the angle, t = tan(pi (v - 1/2)), and gives
+    rho (1 - t^2) / (1 + t^2) and 2 rho t / (1 + t^2).  Both stay finite at
+    u = 0 and v = 0.  A draw of n normals is the first n of any longer draw:
+    an odd n takes n + 1 uniforms and drops the last sine.  The arithmetic
+    runs on the contiguous temporaries that ``scratch(name, n)`` lends, so
+    numpy's vectorised tan, log and sqrt apply; only the read of the pairs and
+    the two writes into ``out`` are strided.  The uniforms go into ``out``
+    itself when n is even.
+    """
+    if not out.flags.c_contiguous:
+        raise ParameterError("standard_normals needs a C-contiguous out")
+    flat = out.reshape(-1)
+    n = flat.size
+    m = (n + 1) // 2
+    u = rng.random(out=flat if n % 2 == 0 else scratch("normal_u", n + 1))
+    r = np.subtract(1.0, u[0::2], out=scratch("normal_r", m))
+    t = np.subtract(u[1::2], 0.5, out=scratch("normal_t", m))
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t *= math.pi
+    np.tan(t, out=t)
+    # the uniforms are read: their second half holds 1 + t^2
+    q = np.multiply(t, t, out=u[m:])
+    q += 1.0
+    r /= q
+    t *= r
+    np.subtract(2.0, q, out=q)
+    r *= q
+    flat[0::2] = r
+    np.multiply(t[: n // 2], 2.0, out=flat[1::2])
+    return out
 
 
 def _log_tan_cot(x, tmp):
@@ -279,7 +324,7 @@ def _stable_increments(alpha, dim, t, size, rng, work=_fresh):
         return np.zeros((size, dim))
     if alpha == 2.0:
         # exp(-t|xi|^2) is N(0, 2t I)
-        x = rng.standard_normal(out=work("stable", size * dim).reshape(size, dim))
+        x = standard_normals(rng, work("stable", size * dim).reshape(size, dim), work)
         x *= math.sqrt(2.0 * t)
         return x
     if dim == 1:
@@ -295,7 +340,7 @@ def _stable_increments(alpha, dim, t, size, rng, work=_fresh):
     scale *= 0.5
     scale += 0.5 * math.log(2.0) + math.log(t) / alpha
     np.exp(scale, out=scale)
-    z = rng.standard_normal(out=work("stable", size * dim).reshape(size, dim))
+    z = standard_normals(rng, work("stable", size * dim).reshape(size, dim), work)
     z *= scale[:, None]
     return z
 
@@ -367,7 +412,7 @@ class ShellSampler:
             # the signs as int8 (-1 or 0), so that no float array holds them
             return np.copysign(r, -neg.view(np.int8), out=r)[:, None]
         radii = self.radii(n, rng)
-        v = rng.standard_normal((n, self.model.dim))
+        v = standard_normals(rng, np.empty((n, self.model.dim)))
         return radii[:, None] * v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
@@ -454,6 +499,44 @@ def tail_mass(model, r1, r2, moment):
         return float(area * math.log(r2 / r1))
     # the screens above leave only the vanishing powers 0^expo and inf^expo
     return float(area * (r2**expo - r1**expo) / expo)
+
+
+# the largest |xi| r1 at which char_exponent's series keeps ~1e-14 relative accuracy
+CHAR_SERIES_MAX = 8.0
+
+
+def _cos_tail(alpha, x):
+    """int_x^inf (cos u - 1) u^(-1-alpha) du for 0 < x <= CHAR_SERIES_MAX: the
+    whole integral, Gamma(-alpha) cos(pi alpha / 2) = -pi / (2 Gamma(1 + alpha)
+    sin(pi alpha / 2)) (finite at alpha = 1), less the power series of the part
+    below x, sum_k (-1)^k x^(2k - alpha) / ((2k)! (2k - alpha)), whose terms
+    past k = 40 fall below 1e-30 of its largest."""
+    total = -math.pi / (2.0 * math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
+    head = sum((-1) ** k * x ** (2 * k - alpha) / (math.factorial(2 * k) * (2 * k - alpha)) for k in range(1, 41))
+    return total - head
+
+
+def char_exponent(model, xi, r1):
+    """int_{|z| >= r1} (cos(xi z) - 1) nu(dz) for the stable kind in d = 1, r1 > 0.
+
+    The rule of ``shell_rule`` runs up to the cut c = max(r1, 1/|xi|), where
+    its log-spaced panels still follow cos(xi z); past c the closed form
+    2 |xi|^alpha int_{|xi| c}^inf (cos u - 1) u^(-1-alpha) du takes over, whose
+    series needs |xi| r1 <= CHAR_SERIES_MAX.
+    """
+    if model.kind != "isotropic_stable" or model.dim != 1:
+        raise ParameterError("char_exponent needs an isotropic_stable model in d = 1")
+    if not r1 > 0:
+        raise ParameterError(f"char_exponent needs r1 > 0, got {r1}")
+    xi = abs(float(xi))
+    if xi == 0.0:
+        return 0.0
+    if xi * r1 > CHAR_SERIES_MAX:
+        raise ParameterError(f"char_exponent needs |xi| r1 <= {CHAR_SERIES_MAX}, got {xi * r1}")
+    cut = max(r1, 1.0 / xi)
+    rule = shell_rule(model, r1, cut)
+    inner = float(rule.integrate(np.cos(xi * rule.nodes) - 1.0))
+    return inner + 2.0 * xi**model.alpha * _cos_tail(model.alpha, xi * cut)
 
 
 class ShellRule:

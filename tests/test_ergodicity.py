@@ -8,12 +8,15 @@ from scipy.stats import norm
 from levylab.errors import DivergenceError, ParameterError, SignalTooWeakError
 from levylab.ergodicity import (
     EmpiricalMeasure,
+    _matched_counts,
+    _tv_of_counts,
     binned_tv,
     estimate_invariant,
     fit_lyapunov_constants,
     lyapunov_margin,
     strong_feller_modulus,
     tv_decay_rate,
+    tv_noise_floor,
     wasserstein1,
 )
 from levylab.integrator import StepConfig, simulate_ensemble
@@ -145,6 +148,25 @@ class TestTvDecay:
     def test_signal_too_weak_error(self):
         with pytest.raises(SignalTooWeakError):
             tv_decay_rate(OU, 0.001, -0.001, [3, 4, 5, 6], 2000, 5, CFG)
+
+    def test_noise_floor_is_the_99_percent_null_quantile(self):
+        # 6000 same-law pairs over three shapes and two sizes: the proxy clears
+        # its floor about 60 times (1%); the old floor 3/sqrt(n), which sits
+        # near the null median at n = 2000, is cleared 1873 times
+        rng = np.random.default_rng(2101)
+        laws = (rng.standard_normal, lambda n: rng.laplace(size=n), rng.standard_exponential)
+        cleared = 0
+        for draw in laws:
+            for n in (200, 2000):
+                for _ in range(1000):
+                    pa, pb, _ = _matched_counts(draw(n), draw(n))
+                    cleared += _tv_of_counts(pa, pb) >= tv_noise_floor(pa, pb)
+        assert 30 <= cleared <= 90
+
+    def test_rate_needs_two_times_above_the_floor(self):
+        # +-0.05 stands out at t = 0.05 only: one point fits no line
+        with pytest.raises(SignalTooWeakError, match="two times"):
+            tv_decay_rate(OU, 0.05, -0.05, [0.05, 3.0, 4.0, 5.0], 20_000, 3, CFG)
 
     def test_relabel_invariance_exact(self):
         a = tv_decay_rate(OU, 2.0, -2.0, [1.0, 1.5, 2.0, 2.5], 20_000, 7, CFG)

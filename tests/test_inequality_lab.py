@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+from levylab import inequality_lab
 from levylab.errors import ParameterError
 from levylab.inequality_lab import (
     GronwallScenario,
@@ -129,6 +130,28 @@ class TestGronwall:
         )
         res = stochastic_gronwall_check(sc, 2.0 / 3.0, 1.0 / 3.0, 1.0, 10_000, 7)
         assert res["passed"]
+
+    def test_row_sort_gives_the_per_path_sort_bitwise(self, monkeypatch):
+        # the reference is the per-path loop that one row-wise sort replaced,
+        # on 2000 of criterion 08's scenarios and seeds
+        def per_path_times(counts, horizon, rng):
+            kmax = int(counts.max()) if len(counts) else 0
+            times = np.full((len(counts), kmax), np.inf)
+            if kmax:
+                u = rng.uniform(0.0, horizon, (len(counts), kmax))
+                for i, c in enumerate(counts):
+                    if c:
+                        times[i, :c] = np.sort(u[i, :c])
+            return times
+
+        rng = np.random.default_rng(808)
+        for i in range(2000):
+            sc = random_gronwall_scenario(rng)
+            got = simulate_gronwall_paths(sc, 1.0, 1000, np.random.default_rng(20_000 + i))
+            with monkeypatch.context() as m:
+                m.setattr(inequality_lab, "_jump_times", per_path_times)
+                want = simulate_gronwall_paths(sc, 1.0, 1000, np.random.default_rng(20_000 + i))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     def test_multiplicative_martingale_mean_one(self):
         # the compensated multiplicative jumps keep E xi at the eta-free ODE value

@@ -10,7 +10,7 @@ from scipy import integrate
 from levylab import jump_grid
 from levylab.errors import ParameterError
 from levylab.jump_grid import Block
-from levylab.levy_noise import JumpTrain, LevyModel, sample_large_jumps, tail_mass
+from levylab.levy_noise import JumpTrain, LevyModel, sample_large_jumps, standard_normals, tail_mass
 from levylab.integrator import (
     PathSample,
     StepConfig,
@@ -155,7 +155,7 @@ def test_weak_order_slope_via_coupled_exact_solution():
         decay = np.exp(-dt)
         spread = np.sqrt(1.0 - np.exp(-2.0 * dt))
         for _ in range(n_steps):
-            z = flow.standard_normal((n, 1))[:, 0]
+            z = standard_normals(flow, np.empty(n))
             x_ex = x_ex * decay + spread * z
         diff = ens.terminal[:, 0] - x_ex
         errors[dt] = abs(np.mean(diff))
@@ -191,15 +191,14 @@ def test_gaussian_correction_adds_matched_variance():
     # the jumps with |z| >= eps, E cos(xi X_t) = exp(t int_{|z|>=eps} (cos xi z - 1) nu(dz)),
     # and the corrected run adds N(0, t v), v = tail_mass(0, eps, 2), for the
     # factor exp(-t v xi^2 / 2); each run is held to its own law within 4 SE
-    from levylab.levy_noise import shell_rule, tail_mass
+    from levylab.levy_noise import char_exponent
 
     p = problem_1d(g=lambda x, z: z + 0 * x, levy=M15, sigma_bar=lambda x: np.ones_like(x))
     t = 0.5
     eps = M15.big_jump_radius / 8.0
     v = tail_mass(M15, 0.0, eps, 2.0)
     xi = 1.0
-    rule = shell_rule(M15, eps, np.inf)
-    plain = np.exp(t * rule.integrate(np.cos(xi * rule.nodes) - 1.0))
+    plain = np.exp(t * char_exponent(M15, xi, eps))
     for cfg, want in (
         (StepConfig(dt=1e-2, small_jump_cutoff=eps), plain),
         (StepConfig(dt=1e-2, small_jump_cutoff=eps, gaussian_correction=True), plain * np.exp(-t * v * xi**2 / 2.0)),
@@ -500,7 +499,7 @@ def test_no_jump_run_is_the_per_step_normal_stream():
     x = x0.copy()
     for k in range(100):
         h = grid[k + 1] - grid[k]
-        z = rng.standard_normal((W, 1))
+        z = standard_normals(rng, np.empty((W, 1)))
         upd = np.zeros((W, 1))
         upd += -x * h
         upd += np.sqrt(2.0) * np.ones((W, 1)) * np.sqrt(h) * z

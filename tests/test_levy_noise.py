@@ -1,18 +1,25 @@
 """Sampler and Levy-measure integral tests against closed-form oracles."""
 
+import math
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import levylab
 from levylab.errors import DivergenceError, ParameterError
 from levylab.levy_noise import (
     LevyModel,
     ShellSampler,
+    char_exponent,
     levy_constant,
     sample_isotropic_stable,
     sample_large_jumps,
     shell_rule,
     stable_increment_batch,
+    standard_normals,
     tail_mass,
 )
 
@@ -270,6 +277,89 @@ def test_rule_refuses_divergent_ends():
     rule = shell_rule(M15, 0.0, 1.0)
     with pytest.raises(DivergenceError, match="0"):
         rule.integrate(np.abs(rule.nodes))
+
+
+@pytest.mark.parametrize("xi", [0.5, 1.0, 4.0])
+def test_char_exponent_matches_the_closed_form(xi):
+    # int_{|z| >= eps} (cos xi z - 1) nu(dz) = 2 xi^alpha (Gamma(-alpha) cos(pi alpha / 2)
+    # - sum_k (-1)^k x^(2k - alpha) / ((2k)! (2k - alpha))), x = xi eps; the rule
+    # alone is off by 1.2e-4, 9.4e-5 and 5.5e-4 at these xi
+    alpha, eps = M15.alpha, 1.0 / 8.0
+    x = xi * eps
+    head = sum((-1) ** k * x ** (2 * k - alpha) / (math.factorial(2 * k) * (2 * k - alpha)) for k in range(1, 30))
+    want = 2.0 * xi**alpha * (special.gamma(-alpha) * math.cos(math.pi * alpha / 2.0) - head)
+    assert char_exponent(M15, xi, eps) == pytest.approx(want, rel=1e-13)
+
+
+def test_char_exponent_at_alpha_one_and_its_limits():
+    # Cauchy: Gamma(-alpha) cos(pi alpha / 2) -> -pi / 2; Fourier-weighted quad as the oracle
+    cauchy = LevyModel(alpha=1.0, dim=1, big_jump_radius=1.0)
+    tail = integrate.quad(lambda s: 1.0 / s**2, 0.5, np.inf, weight="cos", wvar=2.0)[0]
+    assert char_exponent(cauchy, -2.0, 0.5) == pytest.approx(2.0 * (tail - 2.0), rel=1e-9)
+    assert char_exponent(cauchy, 0.0, 0.5) == 0.0
+    with pytest.raises(ParameterError):
+        char_exponent(cauchy, 100.0, 0.5)
+    with pytest.raises(ParameterError):
+        char_exponent(LevyModel(alpha=1.5, dim=2), 1.0, 0.5)
+
+
+def test_normals_follow_the_standard_normal_law():
+    # 1e6 draws, each moment within 5 standard errors; the cosine and sine
+    # halves of the pairs, and their squares, uncorrelated within 5 SE
+    n = 1_000_000
+    x = standard_normals(np.random.default_rng(2024), np.empty(n))
+    assert abs(x.mean()) < 5.0 / math.sqrt(n)
+    assert abs(x.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+    assert abs(stats.kurtosis(x)) < 5.0 * math.sqrt(24.0 / n)
+    assert stats.kstest(x, "norm").pvalue > 1e-3
+    c, s = x[0::2], x[1::2]
+    bound = 5.0 / math.sqrt(n // 2)
+    assert abs(np.corrcoef(c, s)[0, 1]) < bound
+    assert abs(np.corrcoef(c**2, s**2)[0, 1]) < bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300, 301, 4096])
+def test_a_normal_draw_is_the_prefix_of_any_longer_draw(n):
+    # pairs of adjacent uniforms: an odd n drops only the last sine
+    for longer in (n + 1, 4097, 16384):
+        short = standard_normals(np.random.default_rng(n), np.empty(n))
+        long = standard_normals(np.random.default_rng(n), np.empty((longer, 1)))
+        assert short.tobytes() == long[:n, 0].tobytes()
+    with pytest.raises(ParameterError):
+        standard_normals(np.random.default_rng(0), np.empty((4, 2))[:, 0])
+
+
+class _ExtremeUniforms:
+    """Uniforms cycling through 0 and 1 - 2^-53 in every radius/angle pairing."""
+
+    CYCLE = np.array([0.0, 0.0, 0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-53])
+
+    def random(self, out):
+        out[:] = np.resize(self.CYCLE, len(out))
+        return out
+
+
+@pytest.mark.parametrize("n", [8, 7])
+def test_extreme_uniforms_give_finite_normals(n):
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        x = standard_normals(_ExtremeUniforms(), np.empty(n))
+    assert np.all(np.isfinite(x))
+    # u = 0 is radius 0; u = 1 - 2^-53 is radius sqrt(2 * 53 log 2) at angle -pi
+    np.testing.assert_array_equal(x[:4], 0.0)
+    assert x[4] == pytest.approx(-math.sqrt(106.0 * math.log(2.0)), rel=1e-15)
+
+
+def test_every_normal_draw_goes_through_one_sampler():
+    # a second normal path (numpy's ziggurat) must not come back
+    src = Path(levylab.__file__).parent
+    hits = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "standard_normal(" in line
+    ]
+    assert hits == []
 
 
 @pytest.mark.parametrize("d,alpha", [(1, 1.0), (1, 1.5), (2, 1.5)])

@@ -1,9 +1,13 @@
 """1D finite-difference solvers for the backward/elliptic integro-differential
 equations and the drift-removing change of variables Phi(x) = x + u(x).
 
-Local part: a(x) u'' + b(x) u' - lambda u with a = sigma^2/2, centered second
-difference and upwinded first derivative (an M-matrix, so the discrete
-comparison principle holds for the local part).
+Both solvers factorise one assembly (``_assembly``) of the generator
+L = a d2 + b d1 + L^g from the problem's own coefficients: a = sigma^2/2 on a
+centered second difference, the whole drift b upwinded (an M-matrix, so the
+discrete comparison principle holds for the local part), and Dirichlet rows.
+The elliptic solve is one sparse LU of (lambda - L); the backward solve is
+fully implicit, one LU of (lambda + 1/step - L) per step size it uses (per
+step when the problem depends on time).
 
 The small-jump part L^g is linear in u's node values at a fixed quadrature
 rule, so ``_nonlocal_matrix`` assembles it once per solve as one sparse
@@ -11,9 +15,7 @@ matrix.  The z-integral splits at delta = sqrt(h): below delta the exact
 second-order Taylor remainder collapses to u''(x)/2 times the second jump
 moment (``gamma_moment``, independent of u); above delta the integrand
 u(x+g)-u(x)-g u'(x) is summed against one ``levy_noise.shell_rule``, u(x+g)
-read through a local 4-point cubic.  The elliptic solve is then one sparse
-LU of (lambda - local - N), and the backward solve is fully implicit, one
-factorisation per step size (per step when the problem depends on time).
+read through a local 4-point cubic (``_jump_reads``).
 
 u is a node table with linear interpolation, so Phi = id + u is piecewise
 linear and Phi^-1 is the interpolation on the nodes (Phi(x_i), x_i); past
@@ -188,6 +190,14 @@ def _at_time(p, t):
     return replace(p, jump=lambda _, x, z: p.jump(t, x, z))
 
 
+def _jump_reads(p, grid, xs, t, rule):
+    """g(t, x, z) at the rule's nodes z for each x in xs, and the (columns,
+    weights) of ``_lagrange`` that read node values at x + g through the
+    local cubic."""
+    gv = p.g_pairs(t, xs, rule.nodes)
+    return (gv, *_lagrange(grid, xs[:, None] + gv, 4))
+
+
 def _nonlocal_matrix(p, grid, xs, t):
     """The small-jump generator L^g_{nu,R} at time t as a sparse
     (len(xs), n) matrix on the node values of the grid (lo, hi, n).
@@ -207,8 +217,7 @@ def _nonlocal_matrix(p, grid, xs, t):
     delta = min(math.sqrt(h), big_r)
     mass = gamma_moment(_at_time(p, t), xs, 0, 2.0, 0.0, delta)
     rule = shell_rule(p.levy, delta, big_r)
-    gv = p.g_pairs(t, xs, rule.nodes)
-    jump_cols, jump_w = _lagrange(grid, xs[:, None] + gv, 4)
+    gv, jump_cols, jump_w = _jump_reads(p, grid, xs, t, rule)
     here_cols, here_w = _lagrange(grid, xs, 4)
     # the 3-point stencils of the two nodes np.interp reads: np.gradient's
     # one-sided edge rows are the central ones -+ h times the second difference
@@ -266,20 +275,6 @@ class EllipticSolution:
     sweeps: int
 
 
-def _local_matrix(a, b, lam, xs):
-    """(lambda - a d2 - b d1_upwind) as a sparse M-matrix with Dirichlet rows."""
-    n = len(xs)
-    h = xs[1] - xs[0]
-    bp = np.maximum(b, 0.0)
-    bm = np.minimum(b, 0.0)
-    diag = lam + 2.0 * a / h**2 + (bp - bm) / h
-    upper = -(a / h**2 + bp / h)
-    lower = -(a / h**2 - bm / h)
-    diag[0] = diag[-1] = 1.0
-    upper[0] = lower[-1] = 0.0
-    return sparse.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], shape=(n, n), format="csc")
-
-
 def _coerce_forcing(f, xs):
     if callable(f) and not isinstance(f, GridFunction):
         return lambda t: np.asarray(f(t, xs), dtype=float)
@@ -308,31 +303,34 @@ def cell_average(fn, xs):
     return vals @ (0.5 * weights)
 
 
-def _elliptic_coeffs(p, xs, t=0.0, drift="b1"):
-    if drift not in ("b1", "full"):
-        raise ParameterError(f"drift must be 'b1' or 'full', got {drift!r}")
-    sig = np.asarray(p.sigma_eval(t, xs), dtype=float)
-    if sig.ndim == 0:
-        sig = np.full_like(xs, float(sig))
-    a = 0.5 * sig**2
-    bfun = p.b1 if drift == "b1" else p.b
-    bv = np.zeros_like(xs) if bfun is None else cell_average(lambda xv: bfun(t, xv), xs)
-    return a, bv
+def _assembly(p, grid, t):
+    """shift -> (shift - L) as a sparse CSC matrix on the nodes of the grid
+    (lo, hi, n), with Dirichlet rows at both edges, for the generator of p at
+    time t: L = a d2 + b d1_upwind + L^g, a = sigma^2/2 and b p's whole drift,
+    cell-averaged.  All but the shift is assembled here, once."""
+    lo, hi, n = grid
+    xs = np.linspace(lo, hi, n)
+    h = xs[1] - xs[0]
+    a = 0.5 * np.broadcast_to(p.sigma_eval(t, xs), xs.shape) ** 2
+    b = cell_average(lambda xv: p.b(t, xv), xs)
+    bp = np.maximum(b, 0.0)
+    bm = np.minimum(b, 0.0)
+    upper = -(a / h**2 + bp / h)
+    lower = -(a / h**2 - bm / h)
+    upper[0] = lower[-1] = 0.0
+    jumps = None
+    if p.has_jumps:
+        interior = np.ones(n)
+        interior[[0, -1]] = 0.0
+        jumps = sparse.diags(interior) @ _nonlocal_matrix(p, grid, xs, t)
 
+    def matrix(shift):
+        diag = shift + 2.0 * a / h**2 + (bp - bm) / h
+        diag[0] = diag[-1] = 1.0
+        local = sparse.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], shape=(n, n), format="csc")
+        return local if jumps is None else (local - jumps).tocsc()
 
-def _interior_nonlocal(p, grid, xs, t):
-    """The nonlocal matrix at the nodes with its Dirichlet rows dropped; None
-    for a problem without jumps."""
-    if not p.has_jumps:
-        return None
-    interior = np.ones(len(xs))
-    interior[[0, -1]] = 0.0
-    return sparse.diags(interior) @ _nonlocal_matrix(p, grid, xs, t)
-
-
-def _factorise(local, nonlocal_):
-    """splu of local - N, of local alone when N is None."""
-    return splu(local if nonlocal_ is None else (local - nonlocal_).tocsc())
+    return matrix
 
 
 def solve_backward_pide(p, f, lam, horizon, grid, dt=1e-2, terminal=0.0):
@@ -342,8 +340,12 @@ def solve_backward_pide(p, f, lam, horizon, grid, dt=1e-2, terminal=0.0):
     Fully implicit Euler in reversed time, local and nonlocal parts alike,
     at the coefficients of each step's earlier time.  A time-homogeneous
     problem assembles its operator once and factorises it once per step
-    size; a time-dependent one assembles and factorises on every step.
+    size its steps use; a time-dependent one does both on every step.
     """
+    if not dt > 0:
+        raise ParameterError(f"dt must be > 0, got {dt}")
+    if not 0.0 <= horizon < math.inf:
+        raise ParameterError(f"horizon must be finite and >= 0, got {horizon}")
     lo, hi, n = grid
     xs = np.linspace(lo, hi, n)
     v = np.broadcast_to(terminal(xs) if callable(terminal) else terminal, xs.shape).astype(float)
@@ -354,22 +356,15 @@ def solve_backward_pide(p, f, lam, horizon, grid, dt=1e-2, terminal=0.0):
     values[-1] = v
     edge = (v[0], v[-1])
 
-    frozen = _interior_nonlocal(p, grid, xs, horizon) if p.time_homogeneous else None
-
-    def factorised(t, step):
-        a, bv = _elliptic_coeffs(p, xs, t=t, drift="full")
-        nonlocal_ = frozen if p.time_homogeneous else _interior_nonlocal(p, grid, xs, t)
-        return _factorise(_local_matrix(a, bv, lam + 1.0 / step, xs), nonlocal_)
-
-    lu_step = dt  # the step the factorised matrix was built for
-    if p.time_homogeneous:
-        lu = factorised(horizon, dt)
-
+    frozen = _assembly(p, grid, horizon) if p.time_homogeneous else None
+    lu, lu_step = None, dt  # the step the factorised matrix is for
     for k in range(n_steps - 1, -1, -1):
         t = times[k]
         step = times[k + 1] - times[k]
         if not p.time_homogeneous or abs(step - lu_step) > 1e-14:
-            lu, lu_step = factorised(t, step), step
+            lu, lu_step = None, step
+        if lu is None:
+            lu = splu((frozen or _assembly(p, grid, t))(lam + 1.0 / lu_step))
         rhs = v / step - forcing(t)
         rhs[0], rhs[-1] = edge
         v = lu.solve(rhs)
@@ -378,19 +373,17 @@ def solve_backward_pide(p, f, lam, horizon, grid, dt=1e-2, terminal=0.0):
     return SpaceTimeSolution(times=times, grid=GridFunction(lo, hi, n, values[0]), values=values)
 
 
-def solve_elliptic(p, f, lam, grid, drift="b1"):
+def solve_elliptic(p, f, lam, grid):
     """Resolvent solve of  (a d2 - lam) u + b d1 u + L^g u = f  with Dirichlet
-    zero edges, by one sparse LU of (lam - local - N); b is the declared
-    singular part b1 (or the full drift with drift='full').  Returns the
-    solution with its sup norms, the inputs of the lambda-scaling diagnostics.
+    zero edges and p's own coefficients, b its whole drift, by one sparse LU
+    of (lam - L).  Returns the solution with its sup norms, the inputs of the
+    lambda-scaling diagnostics.
     """
     lo, hi, n = grid
     xs = np.linspace(lo, hi, n)
-    a, bv = _elliptic_coeffs(p, xs, drift=drift)
     rhs = -_coerce_forcing(f, xs)(0.0)
     rhs[0] = rhs[-1] = 0.0
-    lu = _factorise(_local_matrix(a, bv, lam, xs), _interior_nonlocal(p, grid, xs, 0.0))
-    u = GridFunction(lo, hi, n, lu.solve(rhs))
+    u = GridFunction(lo, hi, n, splu(_assembly(p, grid, 0.0)(lam)).solve(rhs))
     return EllipticSolution(u=u, lam=lam, sup_u=u.sup(), sup_grad=u.grad_max(), sweeps=1)
 
 
@@ -586,8 +579,9 @@ def build_zvonkin(p, lam=None, grid=None, lam_start=10.0, lam_cap=2.0**20):
             lam_values.append(v)
             v *= 2.0
 
+    singular = replace(p, b2=None)
     for lv in lam_values:
-        last = solve_elliptic(p, rhs, lv, grid, drift="b1")
+        last = solve_elliptic(singular, rhs, lv, grid)
         if last.sup_u + last.sup_grad <= 0.5:
             zmap = ZvonkinMap(u=last.u, lam=lv, sup_u=last.sup_u, sup_grad=last.sup_grad)
             return zmap, _transformed_problem(p, zmap)
@@ -637,7 +631,7 @@ def _transformed_problem(p, zmap):
             if eps not in tables:
                 rule = shell_rule(p.levy, eps, p.levy.big_jump_radius)
                 u = zmap.u
-                cols, w = _lagrange((u.lo, u.hi, u.n), u.x[:, None] + p.g_pairs(0.0, u.x, rule.nodes), 4)
+                _, cols, w = _jump_reads(p, (u.lo, u.hi, u.n), u.x, 0.0, rule)
                 read = zmap.tabulate(rule.integrate(np.sum(w * u.values[cols], axis=-1) - u.values[:, None]))
                 tables[eps] = lambda t, y: read(y)
             return tables[eps]

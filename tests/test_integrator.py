@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from levylab import jump_grid
-from levylab.errors import ParameterError
+from levylab.errors import ParameterError, TruncationError
 from levylab.jump_grid import Block
 from levylab.levy_noise import JumpTrain, LevyModel, sample_large_jumps, standard_normals, tail_mass
 from levylab.integrator import (
@@ -184,6 +184,14 @@ def test_explosion_recorded_not_raised():
     assert np.all(np.isfinite(s.states[s.times < s.exploded_at]))
     ens = simulate_ensemble(p, 2.0, 2.0, StepConfig(dt=1e-2), 64, 1)
     assert ens.explosion_rate == 1.0
+
+
+def test_step_budget_is_refused_before_the_grid_is_built():
+    # 10^8 base steps exceed the budget of 10^7; the check runs before the
+    # grid is allocated, so the refusal costs no 800 MB array
+    for p in (BM, PURE_JUMP):
+        with pytest.raises(TruncationError, match="raise dt"):
+            simulate_ensemble(p, 0.0, 1.0, StepConfig(dt=1e-8), 4, 1)
 
 
 def test_gaussian_correction_adds_matched_variance():

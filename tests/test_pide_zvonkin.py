@@ -135,7 +135,15 @@ class TestBackwardPide:
         monkeypatch.setattr(pide_zvonkin, "splu", counted)
         sol = solve_backward_pide(BM2, 1.0, 1.0, 1.0, (-5, 5, 101), dt=0.3)
         assert len(sol.times) == 5
-        assert len(factorised) == 2  # the dt = 0.3 matrix, then the 0.25 one
+        assert len(factorised) == 1  # the 0.25 matrix only; no step uses dt = 0.3
+
+    def test_refuses_non_positive_dt_and_negative_horizon(self):
+        for horizon, dt in ((1.0, 0.0), (1.0, -0.1), (-1.0, 0.1), (1.0, np.nan), (np.inf, 0.1)):
+            with pytest.raises(ParameterError, match="dt|horizon"):
+                solve_backward_pide(BM2, 1.0, 1.0, horizon, (-5, 5, 51), dt=dt)
+        # a zero horizon is the terminal value, with nothing factorised
+        sol = solve_backward_pide(BM2, 1.0, 1.0, 0.0, (-5, 5, 51), terminal=2.0)
+        assert sol.times.tolist() == [0.0] and np.all(sol.values == 2.0)
 
     def test_jumps_reach_the_elliptic_steady_state(self):
         # at horizon 6 the transient e^{-lam T} (implicit: 1.3^-60) is gone,
@@ -181,6 +189,32 @@ def test_inner_jump_mass_computed_once_per_solve(monkeypatch):
     assert len(sol.times) == 11 and len(calls) == 1
 
 
+def test_assembled_jump_part_matches_the_lyapunov_generator():
+    # two independent codes for L^g h, h = sqrt(1 + x^2): the assembly (inner
+    # moment below sqrt(h), local cubic above) and ergodicity's generator
+    # (cancellation-free Taylor remainder on its own rule).  nu has density 2
+    # on |z| <= 0.9 < R, so the generator's large-jump integral is 0; with
+    # jumps minus without on both sides the upwind local error cancels.
+    # Measured max errors over |x| <= 5 on 101, 201, 401 and 801 nodes:
+    # 3.2e-5, 5.9e-6, 6.6e-7, 8.6e-8, against a jump part of size 0.044
+    from levylab.ergodicity import _lyapunov_generator_1d
+
+    levy = LevyModel(kind="radial_table", radii=np.array([0.0, 0.9]), densities=np.array([2.0, 2.0]), big_jump_radius=1.0)
+    sigma, drift = (lambda x: np.sqrt(2.0) * np.ones_like(x)), (lambda x: -x)
+    jumps = problem_1d(sigma=sigma, drift=drift, g=lambda x, z: 0.3 * (1.0 + 0.2 * np.sin(x)) * z, levy=levy)
+    plain = problem_1d(sigma=sigma, drift=drift)
+    errs = {}
+    for n in (101, 401):
+        grid = (-10.0, 10.0, n)
+        xs = np.linspace(*grid)
+        minus_generator = lambda p: pide_zvonkin._assembly(p, grid, 0.0)(0.0)  # shift 0
+        assembled = (minus_generator(plain) - minus_generator(jumps)) @ np.sqrt(1.0 + xs**2)
+        exact = _lyapunov_generator_1d(jumps, xs) - _lyapunov_generator_1d(plain, xs)
+        errs[n] = np.max(np.abs(assembled - exact)[np.abs(xs) <= 5.0])
+    assert errs[401] <= 1e-6
+    assert np.log2(errs[101] / errs[401]) / 2.0 >= 2.0, errs
+
+
 class TestElliptic:
     def test_zero_forcing(self):
         s = solve_elliptic(BM2, 0.0, 1.0, (-5, 5, 201))
@@ -192,7 +226,7 @@ class TestElliptic:
         assert s.u.values[i] == pytest.approx(-1.0, abs=1e-3)
 
     def test_lambda_decay_of_gradient(self):
-        p = preset("ou_singular")
+        p = replace(preset("ou_singular"), b2=None)  # the generator build_zvonkin inverts
         grads = []
         for lam in (10.0, 40.0, 160.0, 640.0):
             s = solve_elliptic(p, lambda t, xs: p.b1(t, xs), lam, (-10, 10, 2001))
@@ -209,13 +243,8 @@ class TestElliptic:
         for _ in range(5):
             coef = rng.uniform(0.2, 2.0, 3)
             f = lambda t, xs: -(coef[0] + coef[1] * np.abs(np.sin(coef[2] * xs)))
-            s = solve_elliptic(p, f, 2.0, (-8, 8, 401), drift="full")
+            s = solve_elliptic(p, f, 2.0, (-8, 8, 401))
             assert np.all(s.u.values >= -1e-12)
-
-    def test_unknown_drift_part_is_refused(self):
-        p = problem_1d(sigma=lambda x: np.ones_like(x), b2=lambda x: -x)
-        with pytest.raises(ParameterError, match="b2"):
-            solve_elliptic(p, 1.0, 1.0, (-5, 5, 51), drift="b2")
 
     def test_elliptic_grid_refinement_second_order(self):
         # manufactured: u = exp(-x^2), f = (a u'' + b u' - lam u)
@@ -227,7 +256,7 @@ class TestElliptic:
         f = lambda t, xs: a_val * d2u(xs) + np.sin(xs) * du(xs) - lam * u_exact(xs)
         errs = {}
         for n in (201, 401, 801):
-            s = solve_elliptic(p, f, lam, (-12, 12, n), drift="full")
+            s = solve_elliptic(p, f, lam, (-12, 12, n))
             errs[n] = np.max(np.abs(s.u.values - u_exact(s.u.x)))
         # upwinding limits this to first order when the drift switches sign,
         # so assert at least order one and decreasing errors
@@ -303,15 +332,15 @@ class TestZvonkin:
         # against lambda (a fixed-point iteration on it diverges); the direct
         # solve returns u with (lam - L_h) u = b1 to round-off
         f = lambda t, xs: -pide_zvonkin.cell_average(lambda xv: MAIN.b1(t, xv), xs)
+        singular = replace(MAIN, b2=None)
         for n in (51, 401):
             grid = (-10.0, 10.0, n)
             xs = np.linspace(*grid)
-            a, b = pide_zvonkin._elliptic_coeffs(MAIN, xs)
-            nonlocal_ = pide_zvonkin._nonlocal_matrix(MAIN, grid, xs, 0.0)
+            operator = pide_zvonkin._assembly(singular, grid, 0.0)
             for lam in (10.0, 20.0):
-                u = solve_elliptic(MAIN, f, lam, grid).u.values
+                u = solve_elliptic(singular, f, lam, grid).u.values
                 assert np.all(np.isfinite(u))
-                resid = (pide_zvonkin._local_matrix(a, b, lam, xs) - nonlocal_) @ u + f(0.0, xs)
+                resid = operator(lam) @ u + f(0.0, xs)
                 assert np.max(np.abs(resid[1:-1])) <= 1e-10 * np.max(np.abs(f(0.0, xs)))
         # so the search takes its first lambda, 10, and contracts there
         zmap, _ = build_zvonkin(MAIN, grid=(-10.0, 10.0, 51))
@@ -320,17 +349,20 @@ class TestZvonkin:
 
 
 def test_local_matrix_is_csc_with_dirichlet_rows():
+    # the assembly of a jump-free problem: the upwinded local operator
     n, lam = 9, 2.0
     xs = np.linspace(-1.0, 2.0, n)
     h = xs[1] - xs[0]
-    a, b = 0.5 + xs**2, np.sin(3.0 * xs)  # b takes both signs: both upwind branches
+    drift = lambda x: np.sin(3.0 * x)  # both signs: both upwind branches
+    p = problem_1d(sigma=lambda x: np.sqrt(1.0 + 2.0 * x**2), drift=drift)
+    a, b = 0.5 * p.sigma_eval(0.0, xs) ** 2, pide_zvonkin.cell_average(drift, xs)
     ref = np.zeros((n, n))
     for i in range(1, n - 1):
         ref[i, i - 1] = -(a[i] / h**2 - min(b[i], 0.0) / h)
         ref[i, i] = lam + 2.0 * a[i] / h**2 + abs(b[i]) / h
         ref[i, i + 1] = -(a[i] / h**2 + max(b[i], 0.0) / h)
     ref[0, 0] = ref[-1, -1] = 1.0
-    mat = pide_zvonkin._local_matrix(a, b, lam, xs)
+    mat = pide_zvonkin._assembly(p, (-1.0, 2.0, n), 0.0)(lam)
     assert mat.format == "csc"
     assert mat.nnz == 3 * n - 4  # no explicit zeros stored in the Dirichlet rows
     np.testing.assert_allclose(mat.toarray(), ref, rtol=1e-15, atol=0.0)

@@ -1,7 +1,9 @@
 """Config-driven experiment runner (the ``levylab`` entry point).
 
 ``levylab run config.json [--threads N] [--seed-override S]`` validates the
-config, dispatches to the module layer, and writes a reproducible bundle:
+config, dispatches to the module layer, and writes a reproducible bundle;
+the CLI alone writes it, so the library layers return arrays and dataclasses
+and know no file format:
 
     output_dir/manifest.json   config echo + git describe + seed + wall time
     output_dir/results.json    experiment outputs (byte-reproducible)
@@ -17,20 +19,20 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
 from levylab import density_lab, ergodicity, inequality_lab, pide_zvonkin
 from levylab.errors import LevyLabError, ParameterError, SchemaError
 from levylab.expressions import compile_expression, expression_eval
-from levylab.integrator import StepConfig, path_to_csv, simulate_interlaced
+from levylab.integrator import StepConfig, simulate_interlaced
 from levylab.levy_noise import LevyModel
 from levylab.sde_model import PRESET_NAMES, SdeProblem, audit_dissipativity, audit_ellipticity, audit_jump_coeff, default_audit_grid, preset
 
@@ -40,7 +42,7 @@ _VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON
+# deterministic JSON and CSV
 
 
 def _json17(obj, indent=0):
@@ -73,7 +75,26 @@ def _json17(obj, indent=0):
         if math.isinf(x):
             return '"inf"' if x > 0 else '"-inf"'
         return format(x, ".17g")
+    if is_dataclass(obj):
+        return _json17(asdict(obj), indent)
     return json.dumps(str(obj))
+
+
+def _csv(columns):
+    """A CSV table of equal-length columns: a header row of their names, then
+    one row per index, every value at 17 significant digits (an integer
+    prints as itself)."""
+    rows = zip(*([format(float(v), ".17g") for v in column] for column in columns.values()))
+    return "".join(",".join(row) + "\n" for row in [list(columns), *rows])
+
+
+def _path_csv(sample, path_id):
+    """One path as CSV rows (path_id, t, x_1..x_d, is_jump); without a jump
+    flag, a repeated time marks the post-jump row."""
+    times = sample.times
+    jumps = sample.isjump if sample.isjump is not None else np.r_[False, times[1:] == times[:-1]]
+    states = {f"x_{k + 1}": sample.states[:, k] for k in range(sample.states.shape[1])}
+    return _csv({"path_id": np.full(len(times), path_id), "t": times, **states, "is_jump": jumps})
 
 
 def write_json(path, obj):
@@ -252,7 +273,7 @@ def apply_checks(results, checks):
     for key, spec in (checks or {}).items():
         val = results
         for part in key.split("."):
-            val = val[part]
+            val = getattr(val, part) if is_dataclass(val) else val[part]
         target = spec["target"]
         tol = spec.get("rtol")
         ok = (
@@ -283,9 +304,7 @@ def _run_simulate(p, numerics, seed, threads):
         n_events.append(len(s.events))
         exploded += s.exploded_at is not None
         if numerics.get("record_paths", True) and i < 16:
-            buf = io.StringIO()
-            path_to_csv(s, buf, path_id=i)
-            tables[f"path_{i}.csv"] = buf.getvalue()
+            tables[f"path_{i}.csv"] = _path_csv(s, i)
     results = {
         "terminal": terminals,
         "n_events": n_events,
@@ -316,9 +335,7 @@ def _run_invariant(p, numerics, seed, threads):
         "bandwidth": em.bandwidth,
         "mass_outside_20": em.mass_outside(-20.0, 20.0),
     }
-    buf = io.StringIO()
-    em.to_csv(buf)
-    return results, True, {"histogram.csv": buf.getvalue()}
+    return results, True, {"histogram.csv": _csv({"bin_lo": em.edges[:-1], "bin_hi": em.edges[1:], "mass": em.masses})}
 
 
 def _run_tv_decay(p, numerics, seed, threads):
@@ -332,8 +349,7 @@ def _run_tv_decay(p, numerics, seed, threads):
         seed,
         cfg,
     )
-    results = rep.to_json_dict()
-    return results, True, {}
+    return asdict(rep), True, {}
 
 
 def _run_zvonkin_crossval(p, numerics, seed, threads):
@@ -380,9 +396,10 @@ def _run_zvonkin_crossval(p, numerics, seed, threads):
         # the only output here that sees path order (W1 sorts its samples)
         "terminal_sha256": hashlib.sha256(direct.terminal[:, 0].tobytes() + mapped.tobytes()).hexdigest(),
     }
-    buf = io.StringIO()
-    pide_zvonkin.gridfunction_to_csv(zmap.u, buf)
-    tables = {"zvonkin_u.csv": buf.getvalue(), "zvonkin_map.json": _json17(zmap.diagnostics()) + "\n"}
+    tables = {
+        "zvonkin_u.csv": _csv({"x": zmap.u.x, "value": zmap.u.values}),
+        "zvonkin_map.json": _json17(zmap.diagnostics()) + "\n",
+    }
     return results, passed, tables
 
 
@@ -420,7 +437,7 @@ def _run_heatkernel(p, numerics, seed, threads):
     else:
         tol = (1.0 + RATIO_MARGIN) * _exact_envelope_ratio(alpha, t_values, xs)
     fit = density_lab.check_two_sided(family, alpha, 1, ratio_tolerance=tol)
-    results = {"envelope": fit.to_json_dict(), "ratio": fit.c2 / fit.c1, "ratio_tol": tol}
+    results = {"envelope": fit, "ratio": fit.c2 / fit.c1, "ratio_tol": tol}
     passed = fit.violations == 0
     if numerics.get("n_paths"):
         from levylab.density_lab import kde_density
@@ -469,9 +486,7 @@ def _run_dirichlet(p, numerics, seed, threads):
         rtol = float(numerics.get("expect_rtol", 0.05))
         passed = passed and abs(mid - float(numerics["expect_value"])) <= rtol * float(numerics["expect_value"])
         results["expect_check"] = {"value": float(mid), "target": float(numerics["expect_value"]), "rtol": rtol}
-    buf = io.StringIO()
-    est.to_csv(buf)
-    return results, bool(passed), {"killed_density.csv": buf.getvalue()}
+    return results, bool(passed), {"killed_density.csv": _csv({"x": est.points, "value": est.values, "se": est.se})}
 
 
 def _run_verify_krylov(p, numerics, seed, threads):
@@ -533,7 +548,9 @@ def _run_verify_gronwall(p, numerics, seed, threads):
         worst = None
         for i in range(n_scen):
             sc = inequality_lab.random_gronwall_scenario(rng)
-            res = inequality_lab.stochastic_gronwall_check(sc, pq[0], pq[1], horizon, n_paths, seed + i)
+            # scenario i's paths get their own stream, keyed as _run_simulate keys paths
+            paths_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+            res = inequality_lab.stochastic_gronwall_check(sc, pq[0], pq[1], horizon, n_paths, paths_seed)
             if not res["passed"]:
                 failures += 1
             if worst is None or res["slack"] < worst["slack"]:
@@ -573,11 +590,8 @@ def _run_lyapunov(p, numerics, seed, threads):
         "max_margin": float(np.max(rep["margins"])),
         "passed": rep["passed"],
     }
-    buf = io.StringIO()
-    buf.write("x,generator,margin\n")
-    for x, g, m in zip(rep["x"], rep["generator"], rep["margins"]):
-        buf.write(f"{format(float(x), '.17g')},{format(float(g), '.17g')},{format(float(m), '.17g')}\n")
-    return results, rep["passed"], {"lyapunov_margin.csv": buf.getvalue()}
+    table = _csv({"x": rep["x"], "generator": rep["generator"], "margin": rep["margins"]})
+    return results, rep["passed"], {"lyapunov_margin.csv": table}
 
 
 def _run_audit(p, numerics, seed, threads):

@@ -57,13 +57,6 @@ class DensityEstimate:
         if np.any(self.values < 0):
             raise ParameterError("density values must be nonnegative")
 
-    def to_csv(self, fileobj):
-        fileobj.write("x,value,se\n")
-        for x, v, s in zip(self.points, self.values, self.se):
-            fileobj.write(
-                f"{format(float(x), '.17g')},{format(float(v), '.17g')},{format(float(s), '.17g')}\n"
-            )
-
 
 @dataclass
 class BoundFit:
@@ -74,15 +67,6 @@ class BoundFit:
     violations: int
     window: dict
     excluded: int = 0
-
-    def to_json_dict(self):
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "violations": self.violations,
-            "excluded": self.excluded,
-            "window": self.window,
-        }
 
 
 def kernel_profile(alpha, d, t, r):

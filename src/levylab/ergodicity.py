@@ -171,22 +171,6 @@ class EmpiricalMeasure:
         lo = self.edges[idx]
         return lo + rng.random(n) * (self.edges[idx + 1] - self.edges[idx])
 
-    def to_json_dict(self):
-        return {
-            "edges": self.edges.tolist(),
-            "masses": self.masses.tolist(),
-            "count": self.count,
-            "bandwidth": self.bandwidth,
-            "mean": self.mean,
-            "variance": self.variance,
-        }
-
-    def to_csv(self, fileobj):
-        fileobj.write("bin_lo,bin_hi,mass\n")
-        for lo, hi, m in zip(self.edges[:-1], self.edges[1:], self.masses):
-            fileobj.write(
-                f"{format(float(lo), '.17g')},{format(float(hi), '.17g')},{format(float(m), '.17g')}\n"
-            )
 
 
 @dataclass
@@ -195,14 +179,6 @@ class ErgodicityReport:
     r_squared: float
     V_class: str
     margins: dict = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {
-            "gamma": self.gamma,
-            "r_squared": self.r_squared,
-            "V_class": self.V_class,
-            "margins": self.margins,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ Grammar (over the variables x, z, t):
 
 Functions: abs, sign, sin, cos, exp, min, max, indicator(a, b).
 indicator(a, b) is 1 where a <= x <= b (it always tests the state variable).
-Parse errors carry the 1-based column of the offending token.
+Python's own parser reads the grammar, with '^' standing for '**'; a
+character outside the grammar's alphabet, or a node outside the grammar,
+is refused with its 1-based column in the expression's own text.
 """
 
-from __future__ import annotations
-
+import ast
+import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,191 +34,73 @@ class ExpressionError(ParameterError):
         self.column = column
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
+def _power(left, right):
+    # negative powers evaluate with |base| floored at 1e-10, matching the
+    # singular-drift floor of the integrator; sign(0) = 0 upstream still
+    # kills odd singular drifts at the origin
+    with np.errstate(invalid="ignore", divide="ignore"):
+        neg = np.asarray(right) < 0
+        if np.any(neg):
+            left = np.where(neg & (np.abs(left) < 1e-10), np.where(np.asarray(left) < 0, -1e-10, 1e-10), left)
+        return np.power(left, right)
 
+
+# a character outside the grammar's alphabet, or the second '*' of '**'
+_REFUSED = re.compile(r"[^A-Za-z0-9_.+\-*/^(), ]|(?<=\*)\*")
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# leading zeros of an integer part, which Python refuses in "007"
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=\d)")
 _VARS = ("x", "z", "t")
-_UNARY_FNS = {
-    "abs": np.abs,
-    "sign": np.sign,
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-}
-_BINARY_FNS = {"min": np.minimum, "max": np.maximum}
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv, ast.Pow: _power}
+_FNS = dict(abs=(1, np.abs), sign=(1, np.sign), sin=(1, np.sin), cos=(1, np.cos), exp=(1, np.exp),
+            min=(2, np.minimum), max=(2, np.maximum), indicator=(2, None))
 
 
-@dataclass
-class _Token:
-    kind: str
-    value: str
-    column: int
-
-
-def _tokenize(src):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m or m.end() == pos:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(src) - len(stripped) + 1
-            raise ExpressionError(f"unexpected character {stripped[0]!r}", column=col)
-        if m.group("num") is not None:
-            tokens.append(_Token("num", m.group("num"), m.start("num") + 1))
-        elif m.group("name") is not None:
-            tokens.append(_Token("name", m.group("name"), m.start("name") + 1))
-        else:
-            tokens.append(_Token("op", m.group("op"), m.start("op") + 1))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(src) + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, src):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        tok = self.advance()
-        if tok.kind != "op" or tok.value != op:
-            raise ExpressionError(f"expected {op!r}, found {tok.value!r}", column=tok.column)
-        return tok
-
-    # AST nodes are tuples: ("num", v) ("var", name) ("call", fn, args)
-    # ("indicator", a, b) ("bin", op, l, r) ("neg", e)
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError(f"trailing input {tok.value!r}", column=tok.column)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().value in "+-":
-            op = self.advance().value
-            node = ("bin", op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().value in "*/":
-            op = self.advance().value
-            node = ("bin", op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek().kind == "op" and self.peek().value == "-":
-            self.advance()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek().kind == "op" and self.peek().value == "^":
-            self.advance()
-            return ("bin", "^", node, self.unary())
-        return node
-
-    def atom(self):
-        tok = self.advance()
-        if tok.kind == "num":
-            return ("num", float(tok.value))
-        if tok.kind == "name":
-            name = tok.value
-            if self.peek().kind == "op" and self.peek().value == "(":
-                self.advance()
-                args = [self.expr()]
-                while self.peek().kind == "op" and self.peek().value == ",":
-                    self.advance()
-                    args.append(self.expr())
-                self.expect_op(")")
-                if name in _UNARY_FNS:
-                    if len(args) != 1:
-                        raise ExpressionError(f"{name} takes one argument", column=tok.column)
-                    return ("call1", name, args[0])
-                if name in _BINARY_FNS:
-                    if len(args) != 2:
-                        raise ExpressionError(f"{name} takes two arguments", column=tok.column)
-                    return ("call2", name, args[0], args[1])
-                if name == "indicator":
-                    if len(args) != 2:
-                        raise ExpressionError("indicator takes two arguments", column=tok.column)
-                    return ("indicator", args[0], args[1])
-                raise ExpressionError(f"unknown function {name!r}", column=tok.column)
-            if name in _VARS:
-                return ("var", name)
-            raise ExpressionError(f"unknown name {name!r}", column=tok.column)
-        if tok.kind == "op" and tok.value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token {tok.value!r}", column=tok.column)
-
-
-def _eval_node(node, env):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        return env[node[1]]
-    if kind == "neg":
-        return -_eval_node(node[1], env)
-    if kind == "call1":
-        return _UNARY_FNS[node[1]](_eval_node(node[2], env))
-    if kind == "call2":
-        return _BINARY_FNS[node[1]](_eval_node(node[2], env), _eval_node(node[3], env))
-    if kind == "indicator":
-        a = _eval_node(node[1], env)
-        b = _eval_node(node[2], env)
-        x = env["x"]
-        return ((x >= a) & (x <= b)).astype(float)
-    op, left, right = node[1], _eval_node(node[2], env), _eval_node(node[3], env)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return left / right
-    if op == "^":
-        # negative powers evaluate with |base| floored at 1e-10, matching the
-        # singular-drift floor of the integrator; sign(0) = 0 upstream still
-        # kills odd singular drifts at the origin
-        with np.errstate(invalid="ignore", divide="ignore"):
-            neg = np.asarray(right) < 0
-            if np.any(neg):
-                base = np.where(
-                    neg & (np.abs(left) < 1e-10), np.where(np.asarray(left) < 0, -1e-10, 1e-10), left
-                )
-                return np.power(base, right)
-            return np.power(left, right)
-    raise ExpressionError(f"unknown operator {op!r}")
+def _build(node, code, cols):
+    """fn(env) evaluating one node of the grammar; any other node is refused."""
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(literal := code[node.col_offset : node.end_col_offset]):
+        value = float(literal)
+        return lambda env: value
+    if isinstance(node, ast.Name) and node.id in _VARS:
+        return operator.itemgetter(node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand = _build(node.operand, code, cols)
+        return lambda env: -operand(env)
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        op, left, right = _OPS[type(node.op)], _build(node.left, code, cols), _build(node.right, code, cols)
+        return lambda env: op(left(env), right(env))
+    # a call names a function of the grammar directly: not "(abs)(x)", and no trailing comma
+    func = getattr(node, "func", None)
+    if isinstance(node, ast.Call) and isinstance(func, ast.Name) and func.id in _FNS and func.col_offset == node.col_offset:
+        name, args = func.id, [_build(arg, code, cols) for arg in node.args]
+        arity, fn = _FNS[name]
+        if len(args) != arity or "," in code[node.args[-1].end_col_offset : node.end_col_offset]:
+            raise ExpressionError(f"{name} takes {('one argument', 'two arguments')[arity - 1]}", column=cols[node.col_offset])
+        if name == "indicator":
+            a, b = args
+            return lambda env: ((env["x"] >= a(env)) & (env["x"] <= b(env))).astype(float)
+        return lambda env: fn(*[arg(env) for arg in args])
+    raise ExpressionError(f"{code[node.col_offset : node.end_col_offset]!r} is not in the grammar", column=cols[node.col_offset])
 
 
 def compile_expression(src):
     """Compile an expression string to fn(x, z=0, t=0) (numpy-vectorized)."""
-    ast = _Parser(src).parse()
+    text = re.sub(r"\s", " ", src)
+    bad = _REFUSED.search(text)
+    if bad:
+        raise ExpressionError(f"unexpected character {src[bad.start()]!r}", column=bad.start() + 1)
+    code = _LEADING_ZEROS.sub(lambda m: " " * len(m.group()), text.replace("^", "**"))
+    lead = len(code) - len(code.lstrip())
+    code = code[lead:]
+    # the column in src of each offset in code, where '^' reads as '**'
+    cols = [i + 1 for i, c in enumerate(text) for _ in range(1 + (c == "^"))][lead:] + [len(text) + 1]
+    try:
+        evaluate = _build(ast.parse(code, mode="eval").body, code, cols)
+    except SyntaxError as e:
+        raise ExpressionError(f"invalid syntax: {e.msg}", column=cols[min(e.offset or len(cols), len(cols)) - 1]) from None
 
     def fn(x, z=0.0, t=0.0):
-        out = _eval_node(ast, {"x": np.asarray(x, dtype=float), "z": z, "t": t})
+        out = evaluate({"x": np.asarray(x, dtype=float), "z": z, "t": t})
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy() if np.shape(out) != np.shape(x) else out
 
     fn.source = src

@@ -53,7 +53,6 @@ consumes exactly the flow draws of the small-jump simulator (DECISIONS.md).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
@@ -79,7 +78,6 @@ __all__ = [
     "simulate_small_jump_path",
     "simulate_interlaced",
     "simulate_ensemble",
-    "path_to_csv",
     "CHUNK_SIZE",
 ]
 
@@ -664,20 +662,3 @@ def simulate_ensemble(
         snapshots=snaps,
         integrals=integrals,
     )
-
-
-def path_to_csv(sample, fileobj, path_id=0):
-    """Dump one path as CSV rows (path_id, t, x_1..x_d, is_jump)."""
-    d = sample.states.shape[1]
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["path_id", "t"] + [f"x_{i+1}" for i in range(d)] + ["is_jump"])
-    for i in range(len(sample.times)):
-        if sample.isjump is not None:
-            flag = int(sample.isjump[i])
-        else:
-            flag = int(i > 0 and sample.times[i] == sample.times[i - 1])
-        writer.writerow(
-            [path_id, format(float(sample.times[i]), ".17g")]
-            + [format(float(v), ".17g") for v in sample.states[i]]
-            + [flag]
-        )

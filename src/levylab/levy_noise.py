@@ -352,11 +352,7 @@ def sample_isotropic_stable(model, t, rng):
     Brownian motion by a positive (alpha/2-)stable time (Kanter's sampler).
     alpha=2 is admitted as the Gaussian endpoint.
     """
-    if model.kind != "isotropic_stable":
-        raise ParameterError("sample_isotropic_stable requires an isotropic_stable model")
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t}")
-    return _stable_increments(model.alpha, model.dim, t, 1, rng)[0]
+    return stable_increment_batch(model, t, 1, rng)[0]
 
 
 class ShellSampler:

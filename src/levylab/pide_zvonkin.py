@@ -55,7 +55,6 @@ __all__ = [
     "solve_elliptic",
     "build_zvonkin",
     "grid_lipschitz_quotient",
-    "gridfunction_to_csv",
 ]
 
 
@@ -139,12 +138,6 @@ def _edge_lines(x, inner, xp, fp, slopes):
     return np.where(x > xp[-1], high, np.where(x < xp[0], low, inner))
 
 
-def gridfunction_to_csv(gf, fileobj):
-    fileobj.write("x,value\n")
-    for xi, vi in zip(gf.x, gf.values):
-        fileobj.write(f"{format(float(xi), '.17g')},{format(float(vi), '.17g')}\n")
-
-
 # ---------------------------------------------------------------------------
 # nonlocal operator
 
@@ -183,13 +176,6 @@ def _rows(n, *blocks):
     return sparse.csr_matrix((vals, (np.concatenate([r.ravel() for r in rows]), cols)), shape=(len(blocks[0][0]), n))
 
 
-def _at_time(p, t):
-    """p with its jump coefficient frozen at time t (``gamma_moment`` reads g at 0)."""
-    if p.time_homogeneous or p.jump is None:
-        return p
-    return replace(p, jump=lambda _, x, z: p.jump(t, x, z))
-
-
 def _jump_reads(p, grid, xs, t, rule):
     """g(t, x, z) at the rule's nodes z for each x in xs, and the (columns,
     weights) of ``_lagrange`` that read node values at x + g through the
@@ -215,7 +201,7 @@ def _nonlocal_matrix(p, grid, xs, t):
     h = (hi - lo) / (n - 1)
     big_r = p.levy.big_jump_radius
     delta = min(math.sqrt(h), big_r)
-    mass = gamma_moment(_at_time(p, t), xs, 0, 2.0, 0.0, delta)
+    mass = gamma_moment(p, xs, 0, 2.0, 0.0, delta, t=t)
     rule = shell_rule(p.levy, delta, big_r)
     gv, jump_cols, jump_w = _jump_reads(p, grid, xs, t, rule)
     here_cols, here_w = _lagrange(grid, xs, 4)
@@ -655,5 +641,5 @@ def _transformed_problem(p, zmap):
         k1 = p.kappa1 / 4.0
         k2 = float(np.max(ys * bv + k1 * np.abs(ys) ** (2.0 + p.r)))
         k3 = float(np.max(np.abs(bv) / (1.0 + np.abs(ys) ** (1.0 + p.r))))
-        q = q.with_tags(kappa1=k1, kappa2=max(k2 * 1.05, 0.5), kappa3=k3 * 1.5, r=p.r)
+        q = replace(q, kappa1=k1, kappa2=max(k2 * 1.05, 0.5), kappa3=k3 * 1.5, r=p.r)
     return q

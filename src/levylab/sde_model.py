@@ -20,7 +20,7 @@ they report falsifiability evidence for the declared constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,9 +142,6 @@ class SdeProblem:
         if np.ndim(t):
             t = np.repeat(np.ravel(t), len(z))
         return self.g(t, np.repeat(x, len(z)), np.tile(z, len(x))).reshape(len(x), len(z))
-
-    def with_tags(self, **tags):
-        return replace(self, **tags)
 
 
 @dataclass
@@ -391,8 +388,8 @@ def _jump_derivative(p, t, x, z, j):
     return np.abs(p.g_pairs(t, x + h, z) - p.g_pairs(t, x - h, z)) / (2.0 * h[:, None])
 
 
-def gamma_moment(p, x, j, alpha_prime, r1, r2):
-    """Gamma-type moment: int_{r1 <= |z| < r2} |grad_x^j g(x,z)|^alpha' nu(dz).
+def gamma_moment(p, x, j, alpha_prime, r1, r2, t=0.0):
+    """Gamma-type moment: int_{r1 <= |z| < r2} |grad_x^j g(t,x,z)|^alpha' nu(dz).
 
     ``x`` is a state or an array of states; the result has its shape.
     grad_x g falls back to central finite differences (step 1e-5 (|x|+1)).
@@ -411,7 +408,7 @@ def gamma_moment(p, x, j, alpha_prime, r1, r2):
         raise ParameterError("gamma_moment is implemented for dim=1 problems")
 
     rule = shell_rule(p.levy, r1, r2)
-    mag = _jump_derivative(p, 0.0, x, rule.nodes, j)
+    mag = _jump_derivative(p, t, x, rule.nodes, j)
     out = rule.integrate(mag**alpha_prime)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 

@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levylab
 from levylab.cli import apply_checks, build_problem, load_config, main, run, validate_config
 from levylab.errors import SchemaError
 from levylab.integrator import CHUNK_SIZE
@@ -198,6 +200,31 @@ class TestRun:
         results = json.loads((tmp_path / "g" / "results.json").read_text())
         assert results["lhs"] == 1 and results["cap"] == 8 and results["verdict"] == "pass"
 
+    def test_gronwall_scenarios_do_not_replay_the_scenario_stream(self, tmp_path, monkeypatch):
+        from levylab import inequality_lab
+
+        seeds = []
+
+        def record(scenario, p, q, horizon, n_paths, seed):
+            seeds.append(seed)
+            return {"passed": True, "slack": 1.0}
+
+        monkeypatch.setattr(inequality_lab, "stochastic_gronwall_check", record)
+        cfg = {
+            "experiment": "verify_gronwall",
+            "problem": {"b": "-x"},
+            "numerics": {"p": 2.0 / 3.0, "q": 1.0 / 3.0, "n_paths": 10, "n_scenarios": 3},
+            "seed": 3,
+            "output_dir": str(tmp_path / "g"),
+        }
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path)]) == 0
+        first_words = lambda seed: np.random.default_rng(seed).integers(0, 2**63, 4).tolist()
+        path_streams = [first_words(seed) for seed in seeds]
+        assert len(seeds) == 3 and first_words(3) not in path_streams
+        assert len({tuple(words) for words in path_streams}) == 3
+
     def test_simulate_writes_paths(self, tmp_path):
         cfg = {
             "experiment": "simulate",
@@ -249,3 +276,17 @@ def test_apply_checks_paths():
     assert ok and outcomes["a.b"]["passed"]
     _, bad = apply_checks(results, {"c": {"target": 5.0, "rtol": 0.01}})
     assert not bad
+
+
+def test_only_the_cli_writes_result_formats():
+    # the bundle's format belongs to the CLI: no library layer prints 17
+    # significant digits or writes CSV
+    src = Path(levylab.__file__).parent
+    hits = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "cli.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if ".17g" in line or re.match(r"\s*(import|from) csv\b", line)
+    ]
+    assert hits == []

@@ -1,5 +1,6 @@
 """Reference-density, KDE, and kernel-bound tests against closed forms."""
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from levylab.density_lab import (
     stable_density_reference,
     stable_density_tail,
 )
+from levylab.cli import _json17
 from levylab.errors import ParameterError, SampleStarvedError, TailAccuracyError
 from levylab.integrator import StepConfig
 from levylab.levy_noise import LevyModel, levy_constant
@@ -254,5 +256,5 @@ class TestKilled:
 
 def test_bound_fit_serialization():
     fit = BoundFit(c1=0.2, c2=0.4, violations=0, window={"t": [0.1, 1.0]})
-    d = fit.to_json_dict()
+    d = json.loads(_json17(fit))
     assert d["c1"] == 0.2 and d["violations"] == 0

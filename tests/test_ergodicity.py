@@ -1,10 +1,13 @@
 """Invariant-measure, Lyapunov-margin, and decay-rate tests."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.stats import norm
 
+from levylab.cli import _json17
 from levylab.errors import DivergenceError, ParameterError, SignalTooWeakError
 from levylab.ergodicity import (
     EmpiricalMeasure,
@@ -189,7 +192,7 @@ class TestTvDecay:
 
     def test_report_serializes(self):
         rep = tv_decay_rate(OU, 2.0, -2.0, [1.0, 1.5, 2.0, 2.5], 20_000, 7, CFG)
-        d = rep.to_json_dict()
+        d = json.loads(_json17(rep))
         assert set(d) == {"gamma", "r_squared", "V_class", "margins"}
 
 

@@ -1,6 +1,5 @@
 """Path-engine tests: oracles for moments, splice exactness, determinism."""
 
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from levylab import jump_grid
+from levylab.cli import _path_csv
 from levylab.errors import ParameterError, TruncationError
 from levylab.jump_grid import Block
 from levylab.levy_noise import JumpTrain, LevyModel, sample_large_jumps, standard_normals, tail_mass
@@ -17,7 +17,6 @@ from levylab.integrator import (
     _Engine,
     _SmallJumpBand,
     _Work,
-    path_to_csv,
     simulate_ensemble,
     simulate_interlaced,
     simulate_small_jump_path,
@@ -217,9 +216,7 @@ def test_gaussian_correction_adds_matched_variance():
 
 def test_path_csv_format():
     s = simulate_interlaced(PURE_JUMP, 0.0, 1.0, StepConfig(dt=0.25), 5)
-    buf = io.StringIO()
-    path_to_csv(s, buf, path_id=3)
-    lines = buf.getvalue().strip().split("\n")
+    lines = _path_csv(s, 3).strip().split("\n")
     assert lines[0] == "path_id,t,x_1,is_jump"
     assert len(lines) == 1 + len(s.times)
     assert sum(int(l.split(",")[-1]) for l in lines[1:]) == len(s.events)

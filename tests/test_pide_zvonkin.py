@@ -172,6 +172,18 @@ def test_time_dependent_jump_coefficient_is_read_at_each_step():
     assert np.max(np.abs(declared - frozen)) <= 1e-12
 
 
+def test_sigma_bar_only_problem_reads_its_jump_mass_at_time_t():
+    # g = sigma_bar(t, x) z declared by sigma_bar alone assembles the
+    # generator of the same g declared as the jump coefficient, at every time
+    sigma_bar = lambda t, x: 0.5 * (1.0 + t) * np.ones_like(x)
+    by_bar = SdeProblem(sigma_bar=sigma_bar, levy=M15, time_homogeneous=False)
+    by_jump = SdeProblem(jump=lambda t, x, z: sigma_bar(t, x) * z, levy=M15, time_homogeneous=False)
+    grid = (-5.0, 5.0, 101)
+    for t in (0.0, 1.0):
+        gap = pide_zvonkin._assembly(by_bar, grid, t)(1.0) - pide_zvonkin._assembly(by_jump, grid, t)(1.0)
+        assert np.max(np.abs(gap.toarray())) <= 1e-12, t
+
+
 def test_inner_jump_mass_computed_once_per_solve(monkeypatch):
     calls = []
     real = pide_zvonkin.gamma_moment
